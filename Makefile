@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-gate fmt examples smoke smoke-shards smoke-workspace
+.PHONY: build test race bench bench-gate perfbench-test fmt examples smoke smoke-shards smoke-workspace
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,13 @@ bench-gate:
 	trap 'rm -f '$$base EXIT; \
 	$(MAKE) bench; \
 	$(GO) run ./cmd/benchgate $$base BENCH_6.json
+
+# perfbench/ is its own Go module, so the root `go vet ./...` and
+# `go test ./...` never build it. Vet and self-test it against the
+# current tree (its go.mod replaces the root module with ../), so an API
+# change in the simulator cannot silently break the benchmark harness.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

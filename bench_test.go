@@ -368,13 +368,13 @@ func BenchmarkMetricsInc(b *testing.B) {
 // path in isolation: pooled segment, pooled packet, pooled events. The
 // allocs/op column must stay ~0 (see internal/netem TestLinkDeliveryAllocFree).
 func BenchmarkLinkDelivery(b *testing.B) {
-	s := sim.New(1)
+	s := sim.NewWorld(1, 1)
 	src := netip.MustParseAddr("10.0.0.1")
 	dst := netip.MustParseAddr("10.0.0.2")
-	rx := netem.NewHost(s, "rx")
+	rx := netem.NewHost(s.HostClock(0, "rx"), "rx")
 	rx.SetHandler(func(p *netem.Packet) { p.Release() })
-	tx := netem.NewHost(s, "tx")
-	wire := netem.NewLink(s, "wire", rx, netem.LinkConfig{RateBps: 1e9, Delay: time.Millisecond})
+	tx := netem.NewHost(s.HostClock(0, "tx"), "tx")
+	wire := netem.NewLink(tx.Clock(), "wire", rx, netem.LinkConfig{RateBps: 1e9, Delay: time.Millisecond})
 	tx.AddIface("eth0", src, wire)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -488,7 +488,8 @@ func BenchmarkSegmentMarshal(b *testing.B) {
 }
 
 func BenchmarkSimulatorEventThroughput(b *testing.B) {
-	s := sim.New(1)
+	w := sim.NewWorld(1, 1)
+	s := w.HostClock(0, "tick")
 	n := 0
 	var tick func()
 	tick = func() {
@@ -499,5 +500,7 @@ func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	s.After(time.Microsecond, "tick", tick)
-	s.Run()
+	// One window over the whole chain (tick i fires at i µs), so the
+	// measurement is the event core, not per-event run bookkeeping.
+	w.RunUntil(sim.Time(b.N) * sim.Microsecond)
 }

@@ -78,7 +78,7 @@ func main() {
 	// The world: two 10 Mbps paths; a bulk transfer starts at t=1s; the
 	// first path degrades badly at t=4s. Whether anything survives is the
 	// controller's problem — exactly the paper's division of labour.
-	world := sim.New(time.Now().UnixNano())
+	world := sim.NewWorld(time.Now().UnixNano(), 1)
 	p := netem.LinkConfig{RateBps: 10e6, Delay: 10 * time.Millisecond}
 	n := topo.NewTwoPath(world, p, p)
 
@@ -102,17 +102,17 @@ func main() {
 		})
 	}
 	sep := mptcp.NewEndpoint(n.Server, mptcp.Config{}, nil)
-	sink := app.NewSink(world, 1<<40, nil)
+	sink := app.NewSink(n.Server.Clock(), 1<<40, nil)
 	sep.Listen(80, func(c *mptcp.Connection) { c.SetCallbacks(sink.Callbacks()) })
 
-	world.Schedule(sim.Second, "start-transfer", func() {
-		src := app.NewSource(world, 512<<20, false)
+	n.Client.Clock().Schedule(sim.Second, "start-transfer", func() {
+		src := app.NewSource(n.Client.Clock(), 512<<20, false)
 		if _, err := k.Dial(n.ClientAddrs[0], n.ServerAddr, 80, "", smapp.ControllerConfig{}, src.Callbacks()); err != nil {
 			log.Fatalf("connect: %v", err)
 		}
 		log.Printf("smappd: transfer started on %s", n.ClientAddrs[0])
 	})
-	world.Schedule(4*sim.Second, "degrade", func() {
+	world.ScheduleGlobal(4*sim.Second, "degrade", func() {
 		n.Path[0].AB.SetLoss(0.5)
 		log.Printf("smappd: path0 degraded to 50%% loss — over to the controller")
 	})

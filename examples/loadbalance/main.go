@@ -21,7 +21,7 @@ import (
 )
 
 func run(hashSeed uint64, policy string) (sec float64, pathsUsed int) {
-	world := sim.New(int64(hashSeed) * 17)
+	world := sim.NewWorld(int64(hashSeed)*17, 1)
 	var paths []netem.LinkConfig
 	for i := 0; i < 4; i++ {
 		paths = append(paths, netem.LinkConfig{
@@ -37,11 +37,11 @@ func run(hashSeed uint64, policy string) (sec float64, pathsUsed int) {
 	client := smapp.New(n.Client, scfg)
 	sep := mptcp.NewEndpoint(n.Server, mptcp.Config{}, nil)
 	var done sim.Time = -1
-	sink := app.NewSink(world, 100<<20, nil)
-	sink.OnComplete = func() { done = world.Now() }
+	sink := app.NewSink(n.Server.Clock(), 100<<20, nil)
+	sink.OnComplete = func() { done = n.Server.Clock().Now() }
 	sep.Listen(80, func(c *mptcp.Connection) { c.SetCallbacks(sink.Callbacks()) })
 
-	src := app.NewSource(world, 100<<20, false)
+	src := app.NewSource(n.Client.Clock(), 100<<20, false)
 	conn, err := client.Dial(n.ClientAddr, n.ServerAddr, 80,
 		policy, smapp.ControllerConfig{Subflows: 5}, src.Callbacks())
 	if err != nil {

@@ -24,30 +24,30 @@ import (
 )
 
 func main() {
-	world := sim.New(7)
+	world := sim.NewWorld(7, 1)
 	wifi := netem.LinkConfig{RateBps: 5e6, Delay: 15 * time.Millisecond}
 	lte := netem.LinkConfig{RateBps: 8e6, Delay: 35 * time.Millisecond}
 	n := topo.NewTwoPath(world, wifi, lte)
 
 	phone := smapp.New(n.Client, smapp.Config{})
 	server := mptcp.NewEndpoint(n.Server, mptcp.Config{}, nil)
-	sink := app.NewSink(world, 20<<20, func() {
-		fmt.Printf("t=%-6v download complete\n", world.Now().Duration().Round(time.Millisecond))
+	sink := app.NewSink(n.Server.Clock(), 20<<20, func() {
+		fmt.Printf("t=%-6v download complete\n", n.Server.Clock().Now().Duration().Round(time.Millisecond))
 	})
 	server.Listen(80, func(c *mptcp.Connection) { c.SetCallbacks(sink.Callbacks()) })
 
 	// Start under the energy-hungry fullmesh policy (both radios hot) ...
-	src := app.NewSource(world, 20<<20, false)
+	src := app.NewSource(n.Client.Clock(), 20<<20, false)
 	conn, err := phone.Dial(n.ClientAddrs[0], n.ServerAddr, 80,
 		"fullmesh", smapp.ControllerConfig{}, src.Callbacks())
 	if err != nil {
 		panic(err)
 	}
-	conn.TracePush = firstUseReporter(world, n)
+	conn.TracePush = firstUseReporter(n)
 
 	// ... and swap to break-before-make backup at t=1.5s: the fullmesh
 	// mesh over cellular is removed and the radio stays cold until needed.
-	world.Schedule(1500*sim.Millisecond, "switch-policy", func() {
+	world.ScheduleGlobal(1500*sim.Millisecond, "switch-policy", func() {
 		if err := phone.SwitchPolicy(conn, "backup", smapp.ControllerConfig{Threshold: time.Second}); err != nil {
 			panic(err)
 		}
@@ -64,7 +64,7 @@ func main() {
 	for i, loss := range []float64{0.05, 0.15, 0.30, 0.50} {
 		at := sim.Time(2+i) * sim.Second
 		l := loss
-		world.Schedule(at, "walk", func() {
+		world.ScheduleGlobal(at, "walk", func() {
 			n.Path[0].AB.SetLoss(l)
 			fmt.Printf("t=%-6v wifi loss -> %.0f%%\n", world.Now().Duration().Round(time.Millisecond), l*100)
 		})
@@ -82,7 +82,7 @@ func main() {
 }
 
 // firstUseReporter prints the first time each interface carries data.
-func firstUseReporter(world *sim.Simulator, n *topo.TwoPath) func(*tcp.Subflow, uint64, int, bool) {
+func firstUseReporter(n *topo.TwoPath) func(*tcp.Subflow, uint64, int, bool) {
 	seen := map[string]bool{}
 	return func(sf *tcp.Subflow, rel uint64, ln int, re bool) {
 		ip := sf.Tuple().SrcIP.String()
@@ -93,7 +93,7 @@ func firstUseReporter(world *sim.Simulator, n *topo.TwoPath) func(*tcp.Subflow, 
 				name = "cellular"
 			}
 			fmt.Printf("t=%-6v first data on %s (%s)\n",
-				world.Now().Duration().Round(time.Millisecond), name, ip)
+				n.Client.Clock().Now().Duration().Round(time.Millisecond), name, ip)
 		}
 	}
 }

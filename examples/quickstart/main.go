@@ -19,7 +19,7 @@ import (
 
 func main() {
 	// A multihomed client: 20 Mbps / 10 ms and 10 Mbps / 30 ms paths.
-	world := sim.New(42)
+	world := sim.NewWorld(42, 1)
 	n := topo.NewTwoPath(world,
 		netem.LinkConfig{RateBps: 20e6, Delay: 10 * time.Millisecond},
 		netem.LinkConfig{RateBps: 10e6, Delay: 30 * time.Millisecond},
@@ -27,8 +27,8 @@ func main() {
 
 	// Server: a plain stack accepting with no policy of its own.
 	server := smapp.New(n.Server, smapp.Config{})
-	sink := app.NewSink(world, 30<<20, func() {
-		fmt.Printf("t=%v  transfer complete\n", world.Now())
+	sink := app.NewSink(n.Server.Clock(), 30<<20, func() {
+		fmt.Printf("t=%v  transfer complete\n", n.Server.Clock().Now())
 	})
 	server.Listen(80, "", smapp.ControllerConfig{}, func(c *mptcp.Connection) {
 		c.SetCallbacks(sink.Callbacks())
@@ -36,7 +36,7 @@ func main() {
 
 	// Client: stack + dial with the full-mesh policy by name. That's the
 	// entire §3 architecture — transport, Netlink PM, library, controller.
-	src := app.NewSource(world, 30<<20, false)
+	src := app.NewSource(n.Client.Clock(), 30<<20, false)
 	client := smapp.New(n.Client, smapp.Config{})
 	conn, err := client.Dial(n.ClientAddrs[0], n.ServerAddr, 80,
 		"fullmesh", smapp.ControllerConfig{}, src.Callbacks())

@@ -22,7 +22,7 @@ import (
 )
 
 func run(policy string) *stats.Sample {
-	world := sim.New(99)
+	world := sim.NewWorld(99, 1)
 	p := netem.LinkConfig{RateBps: 5e6, Delay: 10 * time.Millisecond}
 	n := topo.NewTwoPath(world, p, p)
 
@@ -32,15 +32,15 @@ func run(policy string) *stats.Sample {
 	}
 	client := smapp.New(n.Client, scfg)
 	sep := mptcp.NewEndpoint(n.Server, mptcp.Config{}, nil)
-	bsink := app.NewBlockSink(world, 64<<10)
+	bsink := app.NewBlockSink(n.Server.Clock(), 64<<10)
 	sep.Listen(80, func(c *mptcp.Connection) { c.SetCallbacks(bsink.Callbacks()) })
 
-	streamer := app.NewBlockStreamer(world, time.Second, 64<<10, 60)
+	streamer := app.NewBlockStreamer(n.Client.Clock(), time.Second, 64<<10, 60)
 	if _, err := client.Dial(n.ClientAddrs[0], n.ServerAddr, 80,
 		policy, smapp.ControllerConfig{}, streamer.Callbacks()); err != nil {
 		panic(err)
 	}
-	world.Schedule(sim.Second, "degrade", func() { n.Path[0].AB.SetLoss(0.30) })
+	world.ScheduleGlobal(sim.Second, "degrade", func() { n.Path[0].AB.SetLoss(0.30) })
 	world.RunUntil(3 * sim.Minute)
 
 	delays := &stats.Sample{}

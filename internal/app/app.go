@@ -19,11 +19,11 @@ type Source struct {
 	Size          int
 	CloseWhenDone bool
 	StartedAt     sim.Time
-	clock         sim.Clock
+	clock         *sim.Clock
 }
 
 // NewSource builds a bulk sender.
-func NewSource(clock sim.Clock, size int, closeWhenDone bool) *Source {
+func NewSource(clock *sim.Clock, size int, closeWhenDone bool) *Source {
 	return &Source{Size: size, CloseWhenDone: closeWhenDone, clock: clock}
 }
 
@@ -47,11 +47,11 @@ type Sink struct {
 	CompletedAt sim.Time
 	Done        bool
 	OnComplete  func()
-	clock       sim.Clock
+	clock       *sim.Clock
 }
 
 // NewSink builds a receiver expecting the given byte count.
-func NewSink(clock sim.Clock, expected uint64, onComplete func()) *Sink {
+func NewSink(clock *sim.Clock, expected uint64, onComplete func()) *Sink {
 	return &Sink{Expected: expected, OnComplete: onComplete, clock: clock}
 }
 
@@ -81,13 +81,13 @@ type BlockStreamer struct {
 	NumBlocks int
 	StartedAt sim.Time
 
-	clock  sim.Clock
+	clock  *sim.Clock
 	sent   int
 	ticker *sim.Ticker
 }
 
 // NewBlockStreamer builds the paper's streaming app (64 KB per second).
-func NewBlockStreamer(clock sim.Clock, period time.Duration, blockSize, numBlocks int) *BlockStreamer {
+func NewBlockStreamer(clock *sim.Clock, period time.Duration, blockSize, numBlocks int) *BlockStreamer {
 	return &BlockStreamer{Period: period, BlockSize: blockSize, NumBlocks: numBlocks, clock: clock}
 }
 
@@ -122,11 +122,11 @@ func (b *BlockStreamer) Sent() int { return b.sent }
 type BlockSink struct {
 	BlockSize   int
 	CompletedAt []sim.Time
-	clock       sim.Clock
+	clock       *sim.Clock
 }
 
 // NewBlockSink builds the receiver-side block clock.
-func NewBlockSink(clock sim.Clock, blockSize int) *BlockSink {
+func NewBlockSink(clock *sim.Clock, blockSize int) *BlockSink {
 	return &BlockSink{BlockSize: blockSize, clock: clock}
 }
 

@@ -10,25 +10,26 @@ import (
 	"repro/internal/topo"
 )
 
-func rig(t *testing.T, seed int64) (*topo.TwoPath, *mptcp.Endpoint, *mptcp.Endpoint) {
+func rig(t *testing.T, seed int64) (*sim.World, *topo.TwoPath, *mptcp.Endpoint, *mptcp.Endpoint) {
 	t.Helper()
 	cfg := netem.LinkConfig{RateBps: 50e6, Delay: 10 * time.Millisecond}
-	n := topo.NewTwoPath(sim.New(seed), cfg, cfg)
+	w := sim.NewWorld(seed, 1)
+	n := topo.NewTwoPath(w, cfg, cfg)
 	cep := mptcp.NewEndpoint(n.Client, mptcp.Config{}, nil)
 	sep := mptcp.NewEndpoint(n.Server, mptcp.Config{}, nil)
-	return n, cep, sep
+	return w, n, cep, sep
 }
 
 func TestSourceSink(t *testing.T) {
-	n, cep, sep := rig(t, 1)
+	w, n, cep, sep := rig(t, 1)
 	done := false
-	sink := NewSink(n.Sim, 1<<20, func() { done = true })
+	sink := NewSink(n.Server.Clock(), 1<<20, func() { done = true })
 	sep.Listen(80, func(c *mptcp.Connection) { c.SetCallbacks(sink.Callbacks()) })
-	src := NewSource(n.Sim, 1<<20, true)
+	src := NewSource(n.Client.Clock(), 1<<20, true)
 	if _, err := cep.Connect(n.ClientAddrs[0], n.ServerAddr, 80, src.Callbacks()); err != nil {
 		t.Fatal(err)
 	}
-	n.Sim.Run()
+	w.Run()
 	if !done || !sink.Done {
 		t.Fatal("transfer incomplete")
 	}
@@ -45,14 +46,14 @@ func TestSourceSink(t *testing.T) {
 }
 
 func TestBlockStreamerCadence(t *testing.T) {
-	n, cep, sep := rig(t, 2)
-	bsink := NewBlockSink(n.Sim, 64<<10)
+	w, n, cep, sep := rig(t, 2)
+	bsink := NewBlockSink(n.Server.Clock(), 64<<10)
 	sep.Listen(80, func(c *mptcp.Connection) { c.SetCallbacks(bsink.Callbacks()) })
-	streamer := NewBlockStreamer(n.Sim, time.Second, 64<<10, 10)
+	streamer := NewBlockStreamer(n.Client.Clock(), time.Second, 64<<10, 10)
 	if _, err := cep.Connect(n.ClientAddrs[0], n.ServerAddr, 80, streamer.Callbacks()); err != nil {
 		t.Fatal(err)
 	}
-	n.Sim.RunUntil(15 * sim.Second)
+	w.RunUntil(15 * sim.Second)
 	if streamer.Sent() != 10 {
 		t.Fatalf("sent %d blocks", streamer.Sent())
 	}
@@ -71,7 +72,7 @@ func TestBlockStreamerCadence(t *testing.T) {
 }
 
 func TestReqRespServer(t *testing.T) {
-	n, cep, sep := rig(t, 3)
+	w, n, cep, sep := rig(t, 3)
 	srv := NewReqRespServer(400, 512<<10)
 	sep.Listen(80, srv.Accept)
 	var got uint64
@@ -85,7 +86,7 @@ func TestReqRespServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Sim.Run()
+	w.Run()
 	if got != 512<<10 {
 		t.Fatalf("response bytes = %d", got)
 	}
@@ -98,12 +99,12 @@ func TestReqRespServer(t *testing.T) {
 }
 
 func TestSinkWithoutExpectation(t *testing.T) {
-	n, cep, sep := rig(t, 4)
-	sink := NewSink(n.Sim, 500, nil) // no completion callback
+	w, n, cep, sep := rig(t, 4)
+	sink := NewSink(n.Server.Clock(), 500, nil) // no completion callback
 	sep.Listen(80, func(c *mptcp.Connection) { c.SetCallbacks(sink.Callbacks()) })
-	src := NewSource(n.Sim, 500, false)
+	src := NewSource(n.Client.Clock(), 500, false)
 	cep.Connect(n.ClientAddrs[0], n.ServerAddr, 80, src.Callbacks())
-	n.Sim.Run()
+	w.Run()
 	if !sink.Done || sink.Received != 500 {
 		t.Fatalf("sink state: %+v", sink)
 	}

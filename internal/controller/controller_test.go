@@ -17,6 +17,7 @@ import (
 // ctlRig is a two-path world where the client endpoint runs the Netlink PM
 // with the given controller attached over a simulated transport.
 type ctlRig struct {
+	sim    *sim.World
 	net    *topo.TwoPath
 	lib    *core.Library
 	cep    *mptcp.Endpoint
@@ -28,15 +29,16 @@ type ctlRig struct {
 func newCtlRig(t *testing.T, seed int64, p0, p1 netem.LinkConfig, ctl Controller, tcpCfg tcp.Config) *ctlRig {
 	t.Helper()
 	r := &ctlRig{}
-	r.net = topo.NewTwoPath(sim.New(seed), p0, p1)
-	tr := core.NewSimTransport(r.net.Sim)
-	pm := core.NewNetlinkPM(r.net.Sim, tr)
-	r.lib = core.NewLibrary(tr, core.SimClock{S: r.net.Sim}, 1)
+	r.sim = sim.NewWorld(seed, 1)
+	r.net = topo.NewTwoPath(r.sim, p0, p1)
+	tr := core.NewSimTransport(r.net.Client.Clock())
+	pm := core.NewNetlinkPM(r.net.Client.Clock(), tr)
+	r.lib = core.NewLibrary(tr, core.SimClock{S: r.net.Client.Clock()}, 1)
 	ctl.Attach(r.lib)
 	r.cep = mptcp.NewEndpoint(r.net.Client, mptcp.Config{TCP: tcpCfg}, pm)
 	r.sep = mptcp.NewEndpoint(r.net.Server, mptcp.Config{TCP: tcpCfg}, nil)
 	// Let the subscription cross the transport before any connection.
-	r.net.Sim.RunFor(time.Millisecond)
+	r.sim.RunFor(time.Millisecond)
 	return r
 }
 
@@ -64,7 +66,7 @@ func TestUserFullMeshBuildsMesh(t *testing.T) {
 	r := newCtlRig(t, 1, p, p, ctl, tcp.Config{})
 	r.listen(nil)
 	r.connect(t, mptcp.ConnCallbacks{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	if got := len(r.client.Subflows()); got != 2 {
 		t.Fatalf("mesh = %d subflows, want 2", got)
 	}
@@ -79,16 +81,16 @@ func TestUserFullMeshReestablishesAfterRST(t *testing.T) {
 	r := newCtlRig(t, 2, p, p, ctl, tcp.Config{})
 	r.listen(nil)
 	r.connect(t, mptcp.ConnCallbacks{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	// A middlebox-style RST kills one subflow from the server side.
 	victim := r.server.Subflows()[1]
 	r.server.CloseSubflow(victim, true)
-	r.net.Sim.RunFor(200 * time.Millisecond)
+	r.sim.RunFor(200 * time.Millisecond)
 	if len(r.client.Subflows()) != 1 {
 		t.Fatalf("subflows right after RST = %d, want 1", len(r.client.Subflows()))
 	}
 	// After RetryAfterRST (1s) the controller re-establishes it.
-	r.net.Sim.RunFor(2 * time.Second)
+	r.sim.RunFor(2 * time.Second)
 	if len(r.client.Subflows()) != 2 {
 		t.Fatalf("subflows after retry window = %d, want 2", len(r.client.Subflows()))
 	}
@@ -106,9 +108,9 @@ func TestUserFullMeshInterfaceFlap(t *testing.T) {
 	r := newCtlRig(t, 3, p, p, ctl, tcp.Config{})
 	r.listen(nil)
 	r.connect(t, mptcp.ConnCallbacks{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.net.Client.SetIfaceUp(r.net.ClientAddrs[1], false)
-	r.net.Sim.RunFor(500 * time.Millisecond)
+	r.sim.RunFor(500 * time.Millisecond)
 	if len(r.client.Subflows()) != 1 {
 		t.Fatalf("subflows after if-down = %d, want 1", len(r.client.Subflows()))
 	}
@@ -116,7 +118,7 @@ func TestUserFullMeshInterfaceFlap(t *testing.T) {
 		t.Fatalf("dismissed = %d", ctl.Stats.SubflowsDismissed)
 	}
 	r.net.Client.SetIfaceUp(r.net.ClientAddrs[1], true)
-	r.net.Sim.RunFor(500 * time.Millisecond)
+	r.sim.RunFor(500 * time.Millisecond)
 	if len(r.client.Subflows()) != 2 {
 		t.Fatalf("subflows after if-up = %d, want 2", len(r.client.Subflows()))
 	}
@@ -130,12 +132,12 @@ func TestBackupSwitchesOnRTOThreshold(t *testing.T) {
 	p1 := netem.LinkConfig{RateBps: 8e6, Delay: 15 * time.Millisecond}
 	ctl := NewBackup(topo.ClientAddr2)
 	r := newCtlRig(t, 4, p0, p1, ctl, tcp.Config{})
-	sink := app.NewSink(r.net.Sim, 10<<20, nil)
+	sink := app.NewSink(r.net.Server.Clock(), 10<<20, nil)
 	r.listen(func(c *mptcp.Connection) { c.SetCallbacks(sink.Callbacks()) })
-	src := app.NewSource(r.net.Sim, 10<<20, false)
+	src := app.NewSource(r.net.Client.Clock(), 10<<20, false)
 	r.connect(t, src.Callbacks())
-	r.net.Sim.Schedule(sim.Second, "loss-up", func() { r.net.Path[0].SetLoss(0.30) })
-	r.net.Sim.RunUntil(60 * sim.Second)
+	r.sim.ScheduleGlobal(sim.Second, "loss-up", func() { r.net.Path[0].SetLoss(0.30) })
+	r.sim.RunUntil(60 * sim.Second)
 
 	if ctl.Stats.Switches != 1 {
 		t.Fatalf("switches = %d, want 1", ctl.Stats.Switches)
@@ -161,13 +163,13 @@ func TestBackupHandlesOutrightDeath(t *testing.T) {
 	p := netem.LinkConfig{RateBps: 8e6, Delay: 15 * time.Millisecond}
 	ctl := NewBackup(topo.ClientAddr2)
 	r := newCtlRig(t, 5, p, p, ctl, tcp.Config{MaxBackoffs: 2})
-	sink := app.NewSink(r.net.Sim, 1<<20, nil)
+	sink := app.NewSink(r.net.Server.Clock(), 1<<20, nil)
 	r.listen(func(c *mptcp.Connection) { c.SetCallbacks(sink.Callbacks()) })
-	src := app.NewSource(r.net.Sim, 1<<20, false)
+	src := app.NewSource(r.net.Client.Clock(), 1<<20, false)
 	r.connect(t, src.Callbacks())
-	r.net.Sim.RunFor(100 * time.Millisecond)
+	r.sim.RunFor(100 * time.Millisecond)
 	r.net.Path[0].SetUp(false) // hard interface cut, primary dies fast
-	r.net.Sim.RunUntil(30 * sim.Second)
+	r.sim.RunUntil(30 * sim.Second)
 	if ctl.Stats.Switches != 1 {
 		t.Fatalf("switches = %d", ctl.Stats.Switches)
 	}
@@ -183,12 +185,12 @@ func TestStreamOpensSecondSubflowUnderLoss(t *testing.T) {
 	p := netem.LinkConfig{RateBps: 5e6, Delay: 10 * time.Millisecond}
 	ctl := NewStream(topo.ClientAddr2)
 	r := newCtlRig(t, 6, p, p, ctl, tcp.Config{})
-	bsink := app.NewBlockSink(r.net.Sim, 64<<10)
+	bsink := app.NewBlockSink(r.net.Server.Clock(), 64<<10)
 	r.listen(func(c *mptcp.Connection) { c.SetCallbacks(bsink.Callbacks()) })
-	streamer := app.NewBlockStreamer(r.net.Sim, time.Second, 64<<10, 30)
+	streamer := app.NewBlockStreamer(r.net.Client.Clock(), time.Second, 64<<10, 30)
 	r.connect(t, streamer.Callbacks())
-	r.net.Sim.Schedule(sim.Second, "loss-up", func() { r.net.Path[0].SetLoss(0.30) })
-	r.net.Sim.RunUntil(40 * sim.Second)
+	r.sim.ScheduleGlobal(sim.Second, "loss-up", func() { r.net.Path[0].SetLoss(0.30) })
+	r.sim.RunUntil(40 * sim.Second)
 
 	if ctl.Stats.SecondOpened == 0 {
 		t.Fatal("controller never opened the second subflow")
@@ -217,11 +219,11 @@ func TestStreamStaysQuietOnCleanPath(t *testing.T) {
 	p := netem.LinkConfig{RateBps: 5e6, Delay: 10 * time.Millisecond}
 	ctl := NewStream(topo.ClientAddr2)
 	r := newCtlRig(t, 7, p, p, ctl, tcp.Config{})
-	bsink := app.NewBlockSink(r.net.Sim, 64<<10)
+	bsink := app.NewBlockSink(r.net.Server.Clock(), 64<<10)
 	r.listen(func(c *mptcp.Connection) { c.SetCallbacks(bsink.Callbacks()) })
-	streamer := app.NewBlockStreamer(r.net.Sim, time.Second, 64<<10, 10)
+	streamer := app.NewBlockStreamer(r.net.Client.Clock(), time.Second, 64<<10, 10)
 	r.connect(t, streamer.Callbacks())
-	r.net.Sim.RunUntil(15 * sim.Second)
+	r.sim.RunUntil(15 * sim.Second)
 	if ctl.Stats.SecondOpened != 0 {
 		t.Fatal("controller opened a second subflow on a clean path")
 	}
@@ -239,7 +241,7 @@ func TestNDiffPortsUserCreatesSubflows(t *testing.T) {
 	r := newCtlRig(t, 8, p, p, ctl, tcp.Config{})
 	r.listen(nil)
 	r.connect(t, mptcp.ConnCallbacks{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	if got := len(r.client.Subflows()); got != 3 {
 		t.Fatalf("subflows = %d, want 3", got)
 	}

@@ -14,7 +14,7 @@ import (
 
 // ecmpRig builds the §4.4 fabric (4 × 8 Mbps paths, 10/20/30/40 ms) with
 // the refresh controller on the client.
-func ecmpRig(t *testing.T, seed int64, hashSeed uint64, ctl Controller) (*topo.ECMP, *mptcp.Endpoint, *mptcp.Endpoint) {
+func ecmpRig(t *testing.T, seed int64, hashSeed uint64, ctl Controller) (*sim.World, *topo.ECMP, *mptcp.Endpoint, *mptcp.Endpoint) {
 	t.Helper()
 	paths := []netem.LinkConfig{
 		{RateBps: 8e6, Delay: 10 * time.Millisecond},
@@ -22,15 +22,16 @@ func ecmpRig(t *testing.T, seed int64, hashSeed uint64, ctl Controller) (*topo.E
 		{RateBps: 8e6, Delay: 30 * time.Millisecond},
 		{RateBps: 8e6, Delay: 40 * time.Millisecond},
 	}
-	n := topo.NewECMP(sim.New(seed), paths, hashSeed)
-	tr := core.NewSimTransport(n.Sim)
-	pm := core.NewNetlinkPM(n.Sim, tr)
-	lib := core.NewLibrary(tr, core.SimClock{S: n.Sim}, 1)
+	w := sim.NewWorld(seed, 1)
+	n := topo.NewECMP(w, paths, hashSeed)
+	tr := core.NewSimTransport(n.Client.Clock())
+	pm := core.NewNetlinkPM(n.Client.Clock(), tr)
+	lib := core.NewLibrary(tr, core.SimClock{S: n.Client.Clock()}, 1)
 	ctl.Attach(lib)
 	cep := mptcp.NewEndpoint(n.Client, mptcp.Config{}, pm)
 	sep := mptcp.NewEndpoint(n.Server, mptcp.Config{}, nil)
-	n.Sim.RunFor(time.Millisecond)
-	return n, cep, sep
+	w.RunFor(time.Millisecond)
+	return w, n, cep, sep
 }
 
 // pathsCovered counts how many distinct ECMP paths the connection's live
@@ -52,14 +53,14 @@ func TestRefreshConvergesToAllPaths(t *testing.T) {
 	// even when the initial 5 random ports collide.
 	for _, hashSeed := range []uint64{1, 2, 3} {
 		ctl := NewRefresh(5)
-		n, cep, sep := ecmpRig(t, int64(hashSeed)*100, hashSeed, ctl)
-		sink := app.NewSink(n.Sim, 100<<20, nil)
+		w, n, cep, sep := ecmpRig(t, int64(hashSeed)*100, hashSeed, ctl)
+		sink := app.NewSink(n.Server.Clock(), 100<<20, nil)
 		var server *mptcp.Connection
 		sep.Listen(80, func(c *mptcp.Connection) {
 			server = c
 			c.SetCallbacks(sink.Callbacks())
 		})
-		src := app.NewSource(n.Sim, 100<<20, false)
+		src := app.NewSource(n.Client.Clock(), 100<<20, false)
 		client, err := cep.Connect(n.ClientAddr, n.ServerAddr, 80, src.Callbacks())
 		if err != nil {
 			t.Fatal(err)
@@ -69,8 +70,8 @@ func TestRefreshConvergesToAllPaths(t *testing.T) {
 		// the controller "tends to use the 4 available paths", not that
 		// coverage is ever-monotone (a refresh can transiently collide).
 		best := 0
-		for n.Sim.Now() < 60*sim.Second {
-			n.Sim.RunFor(time.Second)
+		for w.Now() < 60*sim.Second {
+			w.RunFor(time.Second)
 			if got := pathsCovered(n, client); got > best {
 				best = got
 			}
@@ -87,12 +88,12 @@ func TestRefreshConvergesToAllPaths(t *testing.T) {
 
 func TestRefreshReplacesSlowestOnly(t *testing.T) {
 	ctl := NewRefresh(5)
-	n, cep, sep := ecmpRig(t, 42, 7, ctl)
-	sink := app.NewSink(n.Sim, 100<<20, nil)
+	w, n, cep, sep := ecmpRig(t, 42, 7, ctl)
+	sink := app.NewSink(n.Server.Clock(), 100<<20, nil)
 	sep.Listen(80, func(c *mptcp.Connection) { c.SetCallbacks(sink.Callbacks()) })
-	src := app.NewSource(n.Sim, 100<<20, false)
+	src := app.NewSource(n.Client.Clock(), 100<<20, false)
 	client, _ := cep.Connect(n.ClientAddr, n.ServerAddr, 80, src.Callbacks())
-	n.Sim.RunUntil(10 * sim.Second)
+	w.RunUntil(10 * sim.Second)
 	// After a couple of polls the controller has replaced at most a few
 	// subflows — it never tears the whole fleet down at once.
 	if ctl.Stats.Polls < 2 {

@@ -18,6 +18,7 @@ import (
 // world wires a two-path topology where the CLIENT runs the Netlink PM,
 // with a library attached over a simulated transport.
 type world struct {
+	sim    *sim.World
 	net    *topo.TwoPath
 	tr     *Transport
 	pm     *NetlinkPM
@@ -34,10 +35,11 @@ func newWorld(t *testing.T, seed int64, cbs Callbacks) *world {
 	t.Helper()
 	w := &world{}
 	cfg := netem.LinkConfig{RateBps: 100e6, Delay: 10 * time.Millisecond}
-	w.net = topo.NewTwoPath(sim.New(seed), cfg, cfg)
-	w.tr = NewSimTransport(w.net.Sim)
-	w.pm = NewNetlinkPM(w.net.Sim, w.tr)
-	w.lib = NewLibrary(w.tr, SimClock{w.net.Sim}, 1)
+	w.sim = sim.NewWorld(seed, 1)
+	w.net = topo.NewTwoPath(w.sim, cfg, cfg)
+	w.tr = NewSimTransport(w.net.Client.Clock())
+	w.pm = NewNetlinkPM(w.net.Client.Clock(), w.tr)
+	w.lib = NewLibrary(w.tr, SimClock{w.net.Client.Clock()}, 1)
 	w.lib.Register(cbs, nil)
 	w.cep = mptcp.NewEndpoint(w.net.Client, mptcp.Config{}, w.pm)
 	w.sep = mptcp.NewEndpoint(w.net.Server, mptcp.Config{}, nil)
@@ -78,17 +80,18 @@ func (w *world) kinds() []nlmsg.Cmd {
 func TestEventFlow(t *testing.T) {
 	w := &world{}
 	cfg := netem.LinkConfig{RateBps: 100e6, Delay: 10 * time.Millisecond}
-	w.net = topo.NewTwoPath(sim.New(1), cfg, cfg)
-	w.tr = NewSimTransport(w.net.Sim)
-	w.pm = NewNetlinkPM(w.net.Sim, w.tr)
-	w.lib = NewLibrary(w.tr, SimClock{w.net.Sim}, 1)
+	w.sim = sim.NewWorld(1, 1)
+	w.net = topo.NewTwoPath(w.sim, cfg, cfg)
+	w.tr = NewSimTransport(w.net.Client.Clock())
+	w.pm = NewNetlinkPM(w.net.Client.Clock(), w.tr)
+	w.lib = NewLibrary(w.tr, SimClock{w.net.Client.Clock()}, 1)
 	w.lib.Register(w.record(), nil)
 	w.cep = mptcp.NewEndpoint(w.net.Client, mptcp.Config{}, w.pm)
 	w.sep = mptcp.NewEndpoint(w.net.Server, mptcp.Config{}, nil)
 	w.sep.Listen(80, func(c *mptcp.Connection) { w.server = c })
-	w.net.Sim.RunFor(time.Millisecond) // let the subscription land
+	w.sim.RunFor(time.Millisecond) // let the subscription land
 	w.connect(t)
-	w.net.Sim.Run()
+	w.sim.Run()
 
 	kinds := w.kinds()
 	want := []nlmsg.Cmd{nlmsg.EvCreated, nlmsg.EvEstablished, nlmsg.EvSubEstablished}
@@ -113,9 +116,9 @@ func TestEventFlow(t *testing.T) {
 func TestSubscriptionMaskFilters(t *testing.T) {
 	// Subscribe only to timeout events: creation events must be masked.
 	w := newWorld(t, 2, Callbacks{Timeout: func(*nlmsg.Event) {}})
-	w.net.Sim.RunFor(time.Millisecond)
+	w.sim.RunFor(time.Millisecond)
 	w.connect(t)
-	w.net.Sim.Run()
+	w.sim.Run()
 	if w.pm.EventsSent != 0 {
 		t.Fatalf("kernel sent %d events despite mask", w.pm.EventsSent)
 	}
@@ -126,13 +129,13 @@ func TestSubscriptionMaskFilters(t *testing.T) {
 
 func TestCreateSubflowCommand(t *testing.T) {
 	w := newWorld(t, 3, Callbacks{})
-	w.net.Sim.RunFor(time.Millisecond)
+	w.sim.RunFor(time.Millisecond)
 	w.connect(t)
-	w.net.Sim.Run()
+	w.sim.Run()
 	var errno uint32 = 999
 	ft := seg.FourTuple{SrcIP: w.net.ClientAddrs[1], DstIP: w.net.ServerAddr, SrcPort: 0, DstPort: 80}
 	w.lib.CreateSubflow(w.client.Token(), ft, false, func(e uint32) { errno = e })
-	w.net.Sim.Run()
+	w.sim.Run()
 	if errno != 0 {
 		t.Fatalf("create errno = %d", errno)
 	}
@@ -141,7 +144,7 @@ func TestCreateSubflowCommand(t *testing.T) {
 	}
 	// Unknown token → ENOENT.
 	w.lib.CreateSubflow(0xdead, ft, false, func(e uint32) { errno = e })
-	w.net.Sim.Run()
+	w.sim.Run()
 	if errno != errnoNOENT {
 		t.Fatalf("bogus-token errno = %d, want ENOENT", errno)
 	}
@@ -150,7 +153,7 @@ func TestCreateSubflowCommand(t *testing.T) {
 	ft2 := ft
 	ft2.SrcPort = 0
 	w.lib.CreateSubflow(w.client.Token(), ft2, false, func(e uint32) { errno = e })
-	w.net.Sim.Run()
+	w.sim.Run()
 	if errno != 101 {
 		t.Fatalf("down-iface errno = %d, want 101", errno)
 	}
@@ -159,13 +162,13 @@ func TestCreateSubflowCommand(t *testing.T) {
 func TestRemoveSubflowCommand(t *testing.T) {
 	var closed []*nlmsg.Event
 	w := newWorld(t, 4, Callbacks{SubClosed: func(e *nlmsg.Event) { c := *e; closed = append(closed, &c) }})
-	w.net.Sim.RunFor(time.Millisecond)
+	w.sim.RunFor(time.Millisecond)
 	w.connect(t)
-	w.net.Sim.Run()
+	w.sim.Run()
 	ft := w.client.Subflows()[0].Tuple()
 	var errno uint32 = 999
 	w.lib.RemoveSubflow(w.client.Token(), ft, func(e uint32) { errno = e })
-	w.net.Sim.Run()
+	w.sim.Run()
 	if errno != 0 {
 		t.Fatalf("remove errno = %d", errno)
 	}
@@ -177,7 +180,7 @@ func TestRemoveSubflowCommand(t *testing.T) {
 	}
 	// Removing it again → ENOENT.
 	w.lib.RemoveSubflow(w.client.Token(), ft, func(e uint32) { errno = e })
-	w.net.Sim.Run()
+	w.sim.Run()
 	if errno != errnoNOENT {
 		t.Fatalf("double-remove errno = %d", errno)
 	}
@@ -185,14 +188,14 @@ func TestRemoveSubflowCommand(t *testing.T) {
 
 func TestGetInfoCommand(t *testing.T) {
 	w := newWorld(t, 5, Callbacks{})
-	w.net.Sim.RunFor(time.Millisecond)
+	w.sim.RunFor(time.Millisecond)
 	w.connect(t)
-	w.net.Sim.Run()
+	w.sim.Run()
 	w.client.Write(100_000)
-	w.net.Sim.Run()
+	w.sim.Run()
 	var info *nlmsg.ConnInfo
 	w.lib.GetInfo(w.client.Token(), func(i *nlmsg.ConnInfo) { info = i })
-	w.net.Sim.Run()
+	w.sim.Run()
 	if info == nil {
 		t.Fatal("no info reply")
 	}
@@ -209,7 +212,7 @@ func TestGetInfoCommand(t *testing.T) {
 	// Unknown token → nil.
 	called := false
 	w.lib.GetInfo(12345, func(i *nlmsg.ConnInfo) { called = true; info = i })
-	w.net.Sim.Run()
+	w.sim.Run()
 	if !called || info != nil {
 		t.Fatalf("bogus get-info: called=%v info=%v", called, info)
 	}
@@ -217,13 +220,13 @@ func TestGetInfoCommand(t *testing.T) {
 
 func TestSetBackupCommand(t *testing.T) {
 	w := newWorld(t, 6, Callbacks{})
-	w.net.Sim.RunFor(time.Millisecond)
+	w.sim.RunFor(time.Millisecond)
 	w.connect(t)
-	w.net.Sim.Run()
+	w.sim.Run()
 	ft := w.client.Subflows()[0].Tuple()
 	var errno uint32 = 999
 	w.lib.SetBackup(w.client.Token(), ft, true, func(e uint32) { errno = e })
-	w.net.Sim.Run()
+	w.sim.Run()
 	if errno != 0 {
 		t.Fatalf("set-backup errno = %d", errno)
 	}
@@ -238,12 +241,12 @@ func TestSetBackupCommand(t *testing.T) {
 func TestTimeoutEventsOverNetlink(t *testing.T) {
 	var timeouts []*nlmsg.Event
 	w := newWorld(t, 7, Callbacks{Timeout: func(e *nlmsg.Event) { c := *e; timeouts = append(timeouts, &c) }})
-	w.net.Sim.RunFor(time.Millisecond)
+	w.sim.RunFor(time.Millisecond)
 	w.connect(t)
-	w.net.Sim.Run()
+	w.sim.Run()
 	w.net.Path[0].SetLoss(1.0)
 	w.client.Write(5000)
-	w.net.Sim.RunFor(10 * time.Second)
+	w.sim.RunFor(10 * time.Second)
 	if len(timeouts) < 3 {
 		t.Fatalf("timeout events = %d", len(timeouts))
 	}
@@ -259,12 +262,12 @@ func TestTimeoutEventsOverNetlink(t *testing.T) {
 
 func TestAnnounceAddrCommand(t *testing.T) {
 	w := newWorld(t, 8, Callbacks{})
-	w.net.Sim.RunFor(time.Millisecond)
+	w.sim.RunFor(time.Millisecond)
 	w.connect(t)
-	w.net.Sim.Run()
+	w.sim.Run()
 	var errno uint32 = 999
 	w.lib.AnnounceAddr(w.client.Token(), w.net.ClientAddrs[1], 0, func(e uint32) { errno = e })
-	w.net.Sim.Run()
+	w.sim.Run()
 	if errno != 0 {
 		t.Fatalf("announce errno = %d", errno)
 	}
@@ -279,10 +282,10 @@ func TestLocalAddrEventsOverNetlink(t *testing.T) {
 		LocalAddrUp:   func(e *nlmsg.Event) { c := *e; ups = append(ups, &c) },
 		LocalAddrDown: func(e *nlmsg.Event) { c := *e; downs = append(downs, &c) },
 	})
-	w.net.Sim.RunFor(time.Millisecond)
+	w.sim.RunFor(time.Millisecond)
 	w.net.Client.SetIfaceUp(w.net.ClientAddrs[1], false)
 	w.net.Client.SetIfaceUp(w.net.ClientAddrs[1], true)
-	w.net.Sim.Run()
+	w.sim.Run()
 	if len(downs) != 1 || len(ups) != 1 {
 		t.Fatalf("addr events: up=%d down=%d", len(ups), len(downs))
 	}
@@ -294,7 +297,7 @@ func TestLocalAddrEventsOverNetlink(t *testing.T) {
 func TestNetlinkLatencyIsMicroseconds(t *testing.T) {
 	// The simulated transport should cost ~10µs one way: measure the gap
 	// between kernel-side event timestamp and controller delivery time.
-	s := sim.New(10)
+	w, s := testClock(10)
 	tr := NewSimTransport(s)
 	var sent, recv []sim.Time
 	tr.ToUser.SetReceiver(func(b []byte) { recv = append(recv, s.Now()) })
@@ -304,7 +307,7 @@ func TestNetlinkLatencyIsMicroseconds(t *testing.T) {
 			tr.ToUser.Send([]byte{0})
 		})
 	}
-	s.Run()
+	w.Run()
 	var total time.Duration
 	for i := range sent {
 		total += time.Duration(recv[i] - sent[i])
@@ -316,14 +319,14 @@ func TestNetlinkLatencyIsMicroseconds(t *testing.T) {
 }
 
 func TestSimPipeFIFO(t *testing.T) {
-	s := sim.New(11)
+	w, s := testClock(11)
 	p := NewSimPipe(s, LatencyModel(s.Rand(), time.Microsecond, 50*time.Microsecond))
 	var got []byte
 	p.SetReceiver(func(b []byte) { got = append(got, b[0]) })
 	for i := 0; i < 50; i++ {
 		p.Send([]byte{byte(i)})
 	}
-	s.Run()
+	w.Run()
 	for i := range got {
 		if got[i] != byte(i) {
 			t.Fatalf("pipe reordered messages: %v", got)
@@ -364,7 +367,7 @@ func TestSocketPipeFraming(t *testing.T) {
 }
 
 func TestLibraryIgnoresGarbage(t *testing.T) {
-	s := sim.New(12)
+	_, s := testClock(12)
 	tr := NewSimTransport(s)
 	lib := NewLibrary(tr, SimClock{s}, 1)
 	lib.OnMessage([]byte{1, 2, 3})
@@ -378,10 +381,18 @@ func TestLibraryIgnoresGarbage(t *testing.T) {
 	}
 }
 
+// testClock returns a one-shard world and the clock the test's entities
+// share.
+func testClock(seed int64) (*sim.World, *sim.Clock) {
+	w := sim.NewWorld(seed, 1)
+	return w, w.HostClock(0, "test")
+}
+
 // ctlWorld wires just a transport, PM and recording library — no network —
 // for driving the coalescing machinery with synthetic events.
 type ctlWorld struct {
-	s      *sim.Simulator
+	world  *sim.World
+	s      *sim.Clock
 	tr     *Transport
 	pm     *NetlinkPM
 	lib    *Library
@@ -390,7 +401,8 @@ type ctlWorld struct {
 
 func newCtlWorld(t *testing.T, seed int64) *ctlWorld {
 	t.Helper()
-	w := &ctlWorld{s: sim.New(seed)}
+	w := &ctlWorld{}
+	w.world, w.s = testClock(seed)
 	w.tr = NewSimTransport(w.s)
 	w.pm = NewNetlinkPM(w.s, w.tr)
 	w.lib = NewLibrary(w.tr, SimClock{w.s}, 1)
@@ -401,7 +413,7 @@ func newCtlWorld(t *testing.T, seed int64) *ctlWorld {
 		AddAddr: rec, RemAddr: rec, Timeout: rec,
 		LocalAddrUp: rec, LocalAddrDown: rec,
 	}, nil)
-	w.s.RunFor(time.Millisecond) // let the subscription land
+	w.world.RunFor(time.Millisecond) // let the subscription land
 	return w
 }
 
@@ -412,7 +424,7 @@ func TestCoalescedFlushBatchesFrames(t *testing.T) {
 	w.pm.send(&nlmsg.Event{Kind: nlmsg.EvTimeout, Token: 1, RTO: time.Second})
 	w.pm.send(&nlmsg.Event{Kind: nlmsg.EvTimeout, Token: 2, RTO: time.Second})
 	w.pm.send(&nlmsg.Event{Kind: nlmsg.EvTimeout, Token: 3, RTO: time.Second})
-	w.s.Run()
+	w.world.Run()
 	if got := w.tr.ToUser.(*SimPipe).Delivered - framesBefore; got != 1 {
 		t.Fatalf("3 events crossed in %d frames, want 1", got)
 	}
@@ -429,7 +441,7 @@ func TestCoalescedFlushBatchesFrames(t *testing.T) {
 	}
 	// A second window must re-arm the flush timer.
 	w.pm.send(&nlmsg.Event{Kind: nlmsg.EvTimeout, Token: 4, RTO: time.Second})
-	w.s.Run()
+	w.world.Run()
 	if w.pm.Flushes != 2 || len(w.events) != 4 {
 		t.Fatalf("second window: flushes=%d events=%d", w.pm.Flushes, len(w.events))
 	}
@@ -452,7 +464,7 @@ func TestCoalescingCancelsSupersededPairs(t *testing.T) {
 	w.pm.send(&nlmsg.Event{Kind: nlmsg.EvLocalAddrUp, Addr: addr})
 	// A survivor, to prove unrelated events pass through untouched.
 	w.pm.send(&nlmsg.Event{Kind: nlmsg.EvTimeout, Token: 9, RTO: time.Second})
-	w.s.Run()
+	w.world.Run()
 	if len(w.events) != 1 || w.events[0].Kind != nlmsg.EvTimeout || w.events[0].Token != 9 {
 		t.Fatalf("delivered = %+v, want just the timeout", w.events)
 	}
@@ -472,7 +484,7 @@ func TestCoalescingClosedWithoutCreatedStillDelivered(t *testing.T) {
 	ft := seg.FourTuple{SrcPort: 3, DstPort: 4}
 	w.pm.send(&nlmsg.Event{Kind: nlmsg.EvSubEstablished, Token: 5, Tuple: ft, HasTuple: true})
 	w.pm.send(&nlmsg.Event{Kind: nlmsg.EvClosed, Token: 5})
-	w.s.Run()
+	w.world.Run()
 	if len(w.events) != 1 || w.events[0].Kind != nlmsg.EvClosed {
 		t.Fatalf("delivered = %+v, want just closed", w.events)
 	}
@@ -487,7 +499,7 @@ func TestBackpressureDropsOldest(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		w.pm.send(&nlmsg.Event{Kind: nlmsg.EvTimeout, Token: uint32(i), RTO: time.Second})
 	}
-	w.s.Run()
+	w.world.Run()
 	if w.pm.EventsDropped != 2 {
 		t.Fatalf("dropped = %d, want 2", w.pm.EventsDropped)
 	}
@@ -502,14 +514,14 @@ func TestBackpressureDropsOldest(t *testing.T) {
 }
 
 func TestLibraryTimer(t *testing.T) {
-	s := sim.New(13)
+	w, s := testClock(13)
 	tr := NewSimTransport(s)
 	lib := NewLibrary(tr, SimClock{s}, 1)
 	fired := 0
 	lib.After(100*time.Millisecond, func() { fired++ })
 	cancel := lib.After(200*time.Millisecond, func() { fired++ })
 	cancel()
-	s.Run()
+	w.Run()
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1 (one cancelled)", fired)
 	}

@@ -19,7 +19,7 @@ type Clock interface {
 }
 
 // SimClock adapts a discrete-event simulation clock to Clock.
-type SimClock struct{ S sim.Clock }
+type SimClock struct{ S *sim.Clock }
 
 // Now implements Clock.
 func (c SimClock) Now() time.Duration { return time.Duration(c.S.Now()) }

@@ -23,7 +23,7 @@ import (
 // already maintains for MP_JOIN processing.
 type NetlinkPM struct {
 	mptcp.NopPM
-	sim   sim.Clock
+	sim   *sim.Clock
 	tr    *Transport
 	conns map[uint32]*mptcp.Connection
 	mask  nlmsg.EventMask
@@ -84,7 +84,7 @@ const DefaultCtlQueue = 128
 // created/estab events (the subscribe command and the first events race
 // through the two pipe directions; FIFO per direction keeps everything
 // ordered once delivered).
-func NewNetlinkPM(c sim.Clock, tr *Transport) *NetlinkPM {
+func NewNetlinkPM(c *sim.Clock, tr *Transport) *NetlinkPM {
 	pm := &NetlinkPM{sim: c, tr: tr, conns: make(map[uint32]*mptcp.Connection), mask: nlmsg.MaskAll}
 	tr.ToKernel.SetReceiver(pm.handleCommand)
 	return pm

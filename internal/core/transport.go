@@ -52,7 +52,7 @@ type Transport struct {
 // SimPipe delivers messages on the virtual clock after a modelled latency,
 // preserving order (later sends never overtake earlier ones).
 type SimPipe struct {
-	sim       sim.Clock
+	sim       *sim.Clock
 	latency   func() time.Duration
 	recv      func([]byte)
 	lastDue   sim.Time
@@ -60,7 +60,7 @@ type SimPipe struct {
 }
 
 // NewSimPipe creates a pipe whose per-message delay is drawn from latency.
-func NewSimPipe(c sim.Clock, latency func() time.Duration) *SimPipe {
+func NewSimPipe(c *sim.Clock, latency func() time.Duration) *SimPipe {
 	return &SimPipe{sim: c, latency: latency}
 }
 
@@ -109,7 +109,7 @@ const (
 
 // NewSimTransport builds the standard simulated transport with the default
 // (unloaded-host) latency model.
-func NewSimTransport(c sim.Clock) *Transport {
+func NewSimTransport(c *sim.Clock) *Transport {
 	lat := LatencyModel(c.Rand(), DefaultNetlinkBase, DefaultNetlinkJitter)
 	return &Transport{
 		ToUser:   NewSimPipe(c, lat),
@@ -118,7 +118,7 @@ func NewSimTransport(c sim.Clock) *Transport {
 }
 
 // NewStressedSimTransport models the CPU-stressed host of §4.5.
-func NewStressedSimTransport(c sim.Clock) *Transport {
+func NewStressedSimTransport(c *sim.Clock) *Transport {
 	lat := LatencyModel(c.Rand(), StressedNetlinkBase, StressedNetlinkJitter)
 	return &Transport{
 		ToUser:   NewSimPipe(c, lat),

@@ -313,7 +313,7 @@ func (w *ctlStressLoad) Client(rt *scenario.Run) {
 // pipe's ownership window), so the hot path stays allocation-free apart
 // from the sample slice.
 type ctlTap struct {
-	clk sim.Clock
+	clk *sim.Clock
 
 	msg nlmsg.Message
 	ev  nlmsg.Event

@@ -39,7 +39,7 @@ type Config struct {
 // demultiplexes inbound segments to subflows (including MP_JOIN token
 // lookup), allocates ephemeral ports, and drives the attached PathManager.
 type Endpoint struct {
-	sim  sim.Clock
+	sim  *sim.Clock
 	host *netem.Host
 	cfg  Config
 	pm   PathManager
@@ -93,7 +93,7 @@ func NewEndpoint(host *netem.Host, cfg Config, pm PathManager) *Endpoint {
 }
 
 // Clock exposes the host clock driving this endpoint.
-func (ep *Endpoint) Clock() sim.Clock { return ep.sim }
+func (ep *Endpoint) Clock() *sim.Clock { return ep.sim }
 
 // Host exposes the underlying netem host.
 func (ep *Endpoint) Host() *netem.Host { return ep.host }

@@ -41,19 +41,19 @@ func TestMeteredDataPathAllocFree(t *testing.T) {
 	reg := metrics.New(1)
 	p0, p1 := fastPaths()
 	r := newRig(t, 1, p0, p1, meteredConfig(reg))
-	r.net.Sim.Run()
+	r.sim.Run()
 	if !r.client.Established() {
 		t.Fatal("handshake failed")
 	}
 	// Warm every pool on the path (segments, packets, chunks, events).
 	for i := 0; i < 1024; i++ {
 		r.client.Write(1380)
-		r.net.Sim.RunFor(20 * time.Millisecond)
+		r.sim.RunFor(20 * time.Millisecond)
 	}
 	before := r.rcvTotal
 	avg := testing.AllocsPerRun(2000, func() {
 		r.client.Write(1380)
-		r.net.Sim.RunFor(20 * time.Millisecond)
+		r.sim.RunFor(20 * time.Millisecond)
 	})
 	if r.rcvTotal <= before {
 		t.Fatal("no data was delivered during the measurement")
@@ -73,11 +73,11 @@ func TestMeteredRunMatchesUnmetered(t *testing.T) {
 	run := func(cfg Config) (uint64, ConnStats) {
 		p0, p1 := fastPaths()
 		r := newRig(t, 42, p0, p1, cfg)
-		r.net.Sim.Run()
+		r.sim.Run()
 		r.net.Path[0].AB.SetLoss(0.2)
 		r.client.Write(1 << 20)
 		r.client.Close()
-		r.net.Sim.RunFor(2 * time.Minute)
+		r.sim.RunFor(2 * time.Minute)
 		return r.rcvTotal, r.client.Stats()
 	}
 	plainRcv, plainStats := run(Config{})

@@ -65,6 +65,7 @@ func (p *recPM) LocalAddrDown(a netip.Addr) { p.addrDown = append(p.addrDown, a)
 // client connection.
 type rig struct {
 	t        *testing.T
+	sim      *sim.World
 	net      *topo.TwoPath
 	cpm, spm *recPM
 	cep, sep *Endpoint
@@ -79,7 +80,8 @@ type rig struct {
 func newRig(t *testing.T, seed int64, p0, p1 netem.LinkConfig, cfg Config) *rig {
 	t.Helper()
 	r := &rig{t: t, cpm: newRecPM(), spm: newRecPM()}
-	r.net = topo.NewTwoPath(sim.New(seed), p0, p1)
+	r.sim = sim.NewWorld(seed, 1)
+	r.net = topo.NewTwoPath(r.sim, p0, p1)
 	r.cep = NewEndpoint(r.net.Client, cfg, r.cpm)
 	r.sep = NewEndpoint(r.net.Server, cfg, r.spm)
 	r.sep.Listen(80, func(c *Connection) {
@@ -109,7 +111,7 @@ func fastPaths() (netem.LinkConfig, netem.LinkConfig) {
 func TestConnectionEstablish(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 1, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	if !r.client.Established() || r.server == nil || !r.server.Established() {
 		t.Fatal("handshake failed")
 	}
@@ -131,10 +133,10 @@ func TestConnectionEstablish(t *testing.T) {
 func TestSinglePathTransfer(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 2, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	const total = 1 << 20
 	r.client.Write(total)
-	r.net.Sim.Run()
+	r.sim.Run()
 	if r.rcvTotal != total {
 		t.Fatalf("received %d, want %d", r.rcvTotal, total)
 	}
@@ -149,12 +151,12 @@ func TestSinglePathTransfer(t *testing.T) {
 func TestSecondSubflowJoin(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 3, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	sf2, err := r.client.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, false)
 	if err != nil {
 		t.Fatalf("OpenSubflow: %v", err)
 	}
-	r.net.Sim.Run()
+	r.sim.Run()
 	if !sf2.Established() {
 		t.Fatal("join failed")
 	}
@@ -166,7 +168,7 @@ func TestSecondSubflowJoin(t *testing.T) {
 	}
 	// Data spreads over both subflows (100 MB >> one path's BDP).
 	r.client.Write(5 << 20)
-	r.net.Sim.Run()
+	r.sim.Run()
 	if r.rcvTotal != 5<<20 {
 		t.Fatalf("received %d", r.rcvTotal)
 	}
@@ -180,7 +182,7 @@ func TestSecondSubflowJoin(t *testing.T) {
 func TestJoinUnknownTokenGetsRST(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 4, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	// A second client endpoint guesses a token.
 	rogueHost := r.net.Client // reuse host: craft a join from addr2 with a bogus token
 	_ = rogueHost
@@ -199,7 +201,7 @@ func TestJoinUnknownTokenGetsRST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.net.Sim.Run()
+	r.sim.Run()
 	if r.sep.RSTSent <= before {
 		t.Fatal("no RST for SYN to closed port")
 	}
@@ -211,13 +213,13 @@ func TestJoinUnknownTokenGetsRST(t *testing.T) {
 func TestLowestRTTPrefersFasterPath(t *testing.T) {
 	p0, p1 := fastPaths() // 5ms vs 15ms
 	r := newRig(t, 5, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, false)
-	r.net.Sim.Run()
+	r.sim.Run()
 	// Small trickle: each write fits entirely in the fast subflow's cwnd.
 	for i := 0; i < 20; i++ {
 		r.client.Write(1000)
-		r.net.Sim.RunFor(200 * time.Millisecond)
+		r.sim.RunFor(200 * time.Millisecond)
 	}
 	var fast, slow *tcp.Subflow
 	for _, sf := range r.client.Subflows() {
@@ -239,12 +241,12 @@ func TestLowestRTTPrefersFasterPath(t *testing.T) {
 func TestBackupSubflowIdleUntilNeeded(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 6, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	backup, err := r.client.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.net.Sim.Run()
+	r.sim.Run()
 	if !backup.Backup() {
 		t.Fatal("backup flag lost")
 	}
@@ -255,7 +257,7 @@ func TestBackupSubflowIdleUntilNeeded(t *testing.T) {
 		}
 	}
 	r.client.Write(2 << 20)
-	r.net.Sim.Run()
+	r.sim.Run()
 	if backup.Info().Stats.BytesSent != 0 {
 		t.Fatal("backup subflow carried data while the primary was alive")
 	}
@@ -271,7 +273,7 @@ func TestBackupSubflowIdleUntilNeeded(t *testing.T) {
 	}
 	r.client.CloseSubflow(primary, true)
 	r.client.Write(1 << 20)
-	r.net.Sim.Run()
+	r.sim.Run()
 	if r.rcvTotal != 3<<20 {
 		t.Fatalf("received %d after failover, want all", r.rcvTotal)
 	}
@@ -283,14 +285,14 @@ func TestBackupSubflowIdleUntilNeeded(t *testing.T) {
 func TestReinjectionAfterSubflowDeath(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 7, p0, p1, Config{TCP: tcp.Config{MaxBackoffs: 3}})
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, false)
-	r.net.Sim.Run()
+	r.sim.Run()
 	// Start a transfer, then black-hole path 0 mid-flight.
 	r.client.Write(4 << 20)
-	r.net.Sim.RunFor(50 * time.Millisecond)
+	r.sim.RunFor(50 * time.Millisecond)
 	r.net.Path[0].SetLoss(1.0)
-	r.net.Sim.Run()
+	r.sim.Run()
 	if r.rcvTotal != 4<<20 {
 		t.Fatalf("received %d, want all data despite path death", r.rcvTotal)
 	}
@@ -315,16 +317,16 @@ func TestReinjectionAfterSubflowDeath(t *testing.T) {
 func TestMPPrioSignalsPeer(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 8, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	sf := r.client.Subflows()[0]
 	r.client.SetBackup(sf, true)
-	r.net.Sim.Run()
+	r.sim.Run()
 	srv := r.server.Subflows()[0]
 	if !srv.Backup() {
 		t.Fatal("MP_PRIO did not set the peer's backup flag")
 	}
 	r.client.SetBackup(sf, false)
-	r.net.Sim.Run()
+	r.sim.Run()
 	if srv.Backup() {
 		t.Fatal("MP_PRIO clear did not propagate")
 	}
@@ -333,9 +335,9 @@ func TestMPPrioSignalsPeer(t *testing.T) {
 func TestAddAddrAnnouncement(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 9, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.AnnounceAddr(r.net.ClientAddrs[1], 0)
-	r.net.Sim.Run()
+	r.sim.Run()
 	if len(r.spm.announced) != 1 || r.spm.announced[0] != r.net.ClientAddrs[1] {
 		t.Fatalf("server add_addr events = %v", r.spm.announced)
 	}
@@ -343,7 +345,7 @@ func TestAddAddrAnnouncement(t *testing.T) {
 		t.Fatalf("peer addrs = %v", r.server.PeerAddrs())
 	}
 	r.client.WithdrawAddr(r.net.ClientAddrs[1])
-	r.net.Sim.Run()
+	r.sim.Run()
 	if len(r.spm.removedIDs) != 1 {
 		t.Fatalf("rem_addr events = %v", r.spm.removedIDs)
 	}
@@ -355,10 +357,10 @@ func TestAddAddrAnnouncement(t *testing.T) {
 func TestGracefulClose(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 10, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.Write(100_000)
 	r.client.Close()
-	r.net.Sim.Run()
+	r.sim.Run()
 	if !r.peerFin {
 		t.Fatal("server never saw the DATA_FIN")
 	}
@@ -382,11 +384,11 @@ func TestGracefulClose(t *testing.T) {
 func TestAbortFastClose(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 11, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.Write(10_000)
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.Abort()
-	r.net.Sim.Run()
+	r.sim.Run()
 	if !r.client.Closed() {
 		t.Fatal("client not closed after abort")
 	}
@@ -398,7 +400,7 @@ func TestAbortFastClose(t *testing.T) {
 func TestWriteAfterCloseRejected(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 12, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.Close()
 	if err := r.client.Write(10); err == nil {
 		t.Fatal("write after close accepted")
@@ -408,7 +410,7 @@ func TestWriteAfterCloseRejected(t *testing.T) {
 func TestOpenSubflowDownInterface(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 13, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.net.Client.SetIfaceUp(r.net.ClientAddrs[1], false)
 	if len(r.cpm.addrDown) != 1 {
 		t.Fatalf("addr-down events = %v", r.cpm.addrDown)
@@ -429,10 +431,10 @@ func TestOpenSubflowDownInterface(t *testing.T) {
 func TestTimeoutEventRTOValues(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 14, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.net.Path[0].SetLoss(1.0)
 	r.client.Write(5000)
-	r.net.Sim.RunFor(5 * time.Second)
+	r.sim.RunFor(5 * time.Second)
 	if r.cpm.timeouts < 3 {
 		t.Fatalf("timeouts = %d", r.cpm.timeouts)
 	}
@@ -459,9 +461,9 @@ func TestBidirectionalTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.net.Sim.Run()
+	r.sim.Run()
 	c2.Write(5000)
-	r.net.Sim.Run()
+	r.sim.Run()
 	if serverGot != 5000 || clientGot != 100_000 {
 		t.Fatalf("server=%d client=%d", serverGot, clientGot)
 	}
@@ -475,11 +477,11 @@ func TestCoupledLIALimitsAggregate(t *testing.T) {
 	// alpha stays finite/sane.
 	cfgLink := netem.LinkConfig{RateBps: 10e6, Delay: 20 * time.Millisecond, QueueCap: 50}
 	r := newRig(t, 16, cfgLink, cfgLink, Config{Coupled: true})
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, false)
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.Write(2 << 20)
-	r.net.Sim.Run()
+	r.sim.Run()
 	if r.rcvTotal != 2<<20 {
 		t.Fatalf("received %d", r.rcvTotal)
 	}
@@ -494,11 +496,11 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 	p1 := netem.LinkConfig{RateBps: 100e6, Delay: 5 * time.Millisecond}
 	cfg := Config{Scheduler: "round-robin"}
 	r := newRig(t, 17, p0, p1, cfg)
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, false)
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.Write(4 << 20)
-	r.net.Sim.Run()
+	r.sim.Run()
 	if r.rcvTotal != 4<<20 {
 		t.Fatalf("received %d", r.rcvTotal)
 	}
@@ -516,9 +518,9 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 func TestConnInfoSnapshot(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 18, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.Write(50_000)
-	r.net.Sim.Run()
+	r.sim.Run()
 	in := r.client.Info()
 	if !in.Established || in.Closed {
 		t.Fatalf("info state: %+v", in)

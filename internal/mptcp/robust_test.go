@@ -13,14 +13,14 @@ import (
 func TestDataFINSurvivesSubflowDeath(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 40, p0, p1, Config{TCP: tcp.Config{MaxBackoffs: 3}})
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, false)
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.Write(100_000)
 	r.client.Close()
 	// Cut path 0 while the close drains.
 	r.net.Path[0].SetLoss(1.0)
-	r.net.Sim.Run()
+	r.sim.Run()
 	if !r.peerFin {
 		t.Fatal("DATA_FIN lost with its subflow")
 	}
@@ -91,7 +91,7 @@ func TestManyConnectionsOneEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.net.Sim.Run()
+	r.sim.Run()
 	if accepted != 5 {
 		t.Fatalf("accepted %d, want 5", accepted)
 	}
@@ -109,7 +109,7 @@ func TestManyConnectionsOneEndpoint(t *testing.T) {
 func TestDuplicateJoinTupleRejected(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 43, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	sf, err := r.client.OpenSubflow(r.net.ClientAddrs[1], 45000, r.net.ServerAddr, 80, false)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestDuplicateJoinTupleRejected(t *testing.T) {
 	if _, err := r.client.OpenSubflow(r.net.ClientAddrs[1], 45000, r.net.ServerAddr, 80, false); err == nil {
 		t.Fatal("duplicate tuple accepted")
 	}
-	r.net.Sim.Run()
+	r.sim.Run()
 	if !sf.Established() {
 		t.Fatal("original subflow harmed by the duplicate attempt")
 	}
@@ -139,13 +139,13 @@ func TestJoinBeforeEstablishRejected(t *testing.T) {
 func TestReinjectionHeadOnlyOnTimeout(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 45, p0, p1, Config{TCP: tcp.Config{MSS: 1000}})
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, false)
-	r.net.Sim.Run()
+	r.sim.Run()
 	r.client.Write(1 << 20)
-	r.net.Sim.RunFor(20 * time.Millisecond)
+	r.sim.RunFor(20 * time.Millisecond)
 	r.net.Path[0].SetLoss(1.0) // black-hole the primary mid-transfer
-	r.net.Sim.RunFor(2 * time.Second)
+	r.sim.RunFor(2 * time.Second)
 	// Only ~1 chunk per RTO expiry may have been reinjected while the
 	// subflow lives (death reinjets wholesale, but MaxBackoffs=15 default
 	// keeps it alive here).

@@ -190,14 +190,14 @@ func TestSchedulerRegistry(t *testing.T) {
 func TestRedundantEndToEnd(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 91, p0, p1, Config{Scheduler: "redundant"})
-	r.net.Sim.Run()
+	r.sim.Run()
 	if _, err := r.client.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, false); err != nil {
 		t.Fatal(err)
 	}
-	r.net.Sim.Run()
+	r.sim.Run()
 	const total = 4 << 20
 	r.client.Write(total)
-	r.net.Sim.RunFor(time.Minute)
+	r.sim.RunFor(time.Minute)
 	if r.rcvTotal != total {
 		t.Fatalf("received %d / %d", r.rcvTotal, total)
 	}
@@ -217,14 +217,14 @@ func TestWeightedRTTEndToEnd(t *testing.T) {
 		netem.LinkConfig{RateBps: 20e6, Delay: 5 * time.Millisecond},
 		netem.LinkConfig{RateBps: 20e6, Delay: 40 * time.Millisecond},
 		Config{Scheduler: "weighted-rtt"})
-	r.net.Sim.Run()
+	r.sim.Run()
 	if _, err := r.client.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, false); err != nil {
 		t.Fatal(err)
 	}
-	r.net.Sim.Run()
+	r.sim.Run()
 	const total = 8 << 20
 	r.client.Write(total)
-	r.net.Sim.RunFor(time.Minute)
+	r.sim.RunFor(time.Minute)
 	if r.rcvTotal != total {
 		t.Fatalf("received %d / %d", r.rcvTotal, total)
 	}

@@ -26,16 +26,16 @@ func TestQuickEndToEndIntegrity(t *testing.T) {
 			netem.LinkConfig{RateBps: 20e6, Delay: d0},
 			netem.LinkConfig{RateBps: 20e6, Delay: d1},
 			Config{})
-		r.net.Sim.Run()
+		r.sim.Run()
 		if r.client == nil || !r.client.Established() {
 			return false
 		}
 		r.client.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, false)
-		r.net.Sim.Run()
+		r.sim.Run()
 		r.net.Path[0].AB.SetLoss(l0)
 		r.net.Path[1].AB.SetLoss(l1)
 		r.client.Write(size)
-		r.net.Sim.RunUntil(r.net.Sim.Now() + 10*60*1_000_000_000) // 10 min budget
+		r.sim.RunUntil(r.sim.Now() + 10*60*1_000_000_000) // 10 min budget
 		// Exactly size bytes, in order (rcvTotal is the contiguous
 		// frontier — overshoot would mean duplication into the app).
 		return r.rcvTotal == uint64(size)
@@ -51,14 +51,14 @@ func TestQuickEndToEndIntegrity(t *testing.T) {
 func TestChaosSubflowChurn(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 77, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	const total = 8 << 20
 	r.client.Write(total)
 
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 40; i++ {
-		at := r.net.Sim.Now().Add(time.Duration(i+1) * 100 * time.Millisecond)
-		r.net.Sim.Schedule(at, "churn", func() {
+		at := r.sim.Now().Add(time.Duration(i+1) * 100 * time.Millisecond)
+		r.sim.ScheduleGlobal(at, "churn", func() {
 			if r.client.Closed() {
 				return
 			}
@@ -73,7 +73,7 @@ func TestChaosSubflowChurn(t *testing.T) {
 			}
 		})
 	}
-	r.net.Sim.RunUntil(60 * 1_000_000_000)
+	r.sim.RunUntil(60 * 1_000_000_000)
 	if r.rcvTotal != total {
 		t.Fatalf("chaos lost data: %d / %d", r.rcvTotal, total)
 	}
@@ -92,15 +92,15 @@ func TestSchedulerComparison(t *testing.T) {
 			netem.LinkConfig{RateBps: 20e6, Delay: 5 * time.Millisecond},
 			netem.LinkConfig{RateBps: 20e6, Delay: 60 * time.Millisecond},
 			Config{Scheduler: sched})
-		r.net.Sim.Run()
+		r.sim.Run()
 		r.client.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, false)
-		r.net.Sim.Run()
+		r.sim.Run()
 		r.client.Write(16 << 20)
-		start := r.net.Sim.Now()
-		for r.rcvTotal < 16<<20 && r.net.Sim.Now() < start+60*1_000_000_000 {
-			r.net.Sim.RunFor(100 * time.Millisecond)
+		start := r.sim.Now()
+		for r.rcvTotal < 16<<20 && r.sim.Now() < start+60*1_000_000_000 {
+			r.sim.RunFor(100 * time.Millisecond)
 		}
-		return (r.net.Sim.Now() - start).Seconds()
+		return (r.sim.Now() - start).Seconds()
 	}
 	lrtt := run("lowest-rtt")
 	rr := run("round-robin")
@@ -118,14 +118,14 @@ func TestSchedulerComparison(t *testing.T) {
 func TestBackupNeverUsedOnHealthyPath(t *testing.T) {
 	p0, p1 := fastPaths()
 	r := newRig(t, 66, p0, p1, Config{})
-	r.net.Sim.Run()
+	r.sim.Run()
 	backup, err := r.client.OpenSubflow(r.net.ClientAddrs[1], 0, r.net.ServerAddr, 80, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
 		r.client.Write(1 << 20)
-		r.net.Sim.RunFor(2 * time.Second)
+		r.sim.RunFor(2 * time.Second)
 	}
 	if backup.Info().Stats.BytesSent != 0 {
 		t.Fatalf("backup carried %d bytes on a healthy primary", backup.Info().Stats.BytesSent)

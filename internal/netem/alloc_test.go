@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/seg"
-	"repro/internal/sim"
 	"repro/internal/testutil"
 	"repro/internal/trace"
 )
@@ -20,7 +19,7 @@ func TestLinkDeliveryAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts differ under -race instrumentation")
 	}
-	s := sim.New(1)
+	w, s := testClock(1)
 	src := netip.MustParseAddr("10.0.0.1")
 	dstAddr := netip.MustParseAddr("10.0.0.2")
 
@@ -44,7 +43,7 @@ func TestLinkDeliveryAllocFree(t *testing.T) {
 		d := sg.ScratchDSS()
 		d.HasMap, d.DataSeq, d.MapLen = true, 99, 1380
 		tx.Send(NewPacket(sg))
-		s.RunFor(5 * time.Millisecond) // drain serialisation + delivery
+		w.RunFor(5 * time.Millisecond) // drain serialisation + delivery
 	}
 
 	// Warm the segment/packet/event pools.
@@ -69,7 +68,7 @@ func TestLinkDeliveryAllocFreeTraced(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts differ under -race instrumentation")
 	}
-	s := sim.New(1)
+	w, s := testClock(1)
 	src := netip.MustParseAddr("10.0.0.1")
 	dstAddr := netip.MustParseAddr("10.0.0.2")
 
@@ -91,7 +90,7 @@ func TestLinkDeliveryAllocFreeTraced(t *testing.T) {
 		sg.Flags = seg.ACK | seg.PSH
 		sg.PayloadLen = 1380
 		tx.Send(NewPacket(sg))
-		s.RunFor(5 * time.Millisecond)
+		w.RunFor(5 * time.Millisecond)
 	}
 	for i := 0; i < 128; i++ {
 		send()
@@ -114,7 +113,7 @@ func TestLinkDeliveryAllocFreeTraced(t *testing.T) {
 // loss, no route) are retired to the pools rather than leaked, so lossy
 // runs stay allocation-free too.
 func TestDropsRecyclePackets(t *testing.T) {
-	s := sim.New(1)
+	w, s := testClock(1)
 	src := netip.MustParseAddr("10.0.0.1")
 	rx := NewHost(s, "rx")
 	rx.SetHandler(func(p *Packet) { p.Release() })
@@ -125,7 +124,7 @@ func TestDropsRecyclePackets(t *testing.T) {
 		sg := seg.Shared.Get()
 		sg.Tuple = seg.FourTuple{SrcIP: src, DstIP: src, SrcPort: 1, DstPort: 2}
 		wire.Send(NewPacket(sg))
-		s.RunFor(5 * time.Millisecond)
+		w.RunFor(5 * time.Millisecond)
 	}
 	st := seg.Shared.Stats()
 	if puts := st.Puts - gets0.Puts; puts < 50 {

@@ -37,7 +37,7 @@ type HostStats struct {
 // which is the substrate for the paper's new_local_addr / del_local_addr
 // events.
 type Host struct {
-	clock     sim.Clock
+	clock     *sim.Clock
 	name      string
 	ifaces    []*Iface
 	handler   func(*Packet)
@@ -50,9 +50,9 @@ type Host struct {
 	Stats HostStats
 }
 
-// NewHost creates a host with no interfaces, scheduling on c (a bare
-// *sim.Simulator or a per-shard clock issued by a sim.Fabric).
-func NewHost(c sim.Clock, name string) *Host {
+// NewHost creates a host with no interfaces, scheduling on c (the
+// per-entity clock a sim.Fabric issued for it).
+func NewHost(c *sim.Clock, name string) *Host {
 	h := &Host{clock: c, name: name}
 	h.procName = "host.proc:" + name
 	h.procFn = func(a any) {
@@ -69,7 +69,7 @@ func (h *Host) Name() string { return h.name }
 // Clock implements Node: the host's scheduling clock. Protocol stacks
 // attached to the host must schedule through it so their work stays on the
 // host's shard.
-func (h *Host) Clock() sim.Clock { return h.clock }
+func (h *Host) Clock() *sim.Clock { return h.clock }
 
 // SetHandler installs the protocol stack receiving inbound packets.
 func (h *Host) SetHandler(fn func(*Packet)) { h.handler = fn }

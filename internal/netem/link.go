@@ -28,8 +28,8 @@ type LinkStats struct {
 // the simulation runs (the experiments in §4.2/§4.3 raise the loss ratio
 // mid-transfer).
 type Link struct {
-	clock    sim.Clock // the source side's loop: owns the transmitter state
-	dstClock sim.Clock // the destination node's loop: owns delivery
+	clock    *sim.Clock // the source side's loop: owns the transmitter state
+	dstClock *sim.Clock // the destination node's loop: owns delivery
 	name     string
 	dst      Node
 	rate     float64 // bits per second; 0 means infinite
@@ -73,7 +73,7 @@ const DefaultQueueCap = 100
 // different shards of a sim.World, the link registers itself as a
 // cross-shard crossing whose propagation delay bounds the world's
 // conservative lookahead.
-func NewLink(c sim.Clock, name string, dst Node, cfg LinkConfig) *Link {
+func NewLink(c *sim.Clock, name string, dst Node, cfg LinkConfig) *Link {
 	qcap := cfg.QueueCap
 	if qcap == 0 {
 		qcap = DefaultQueueCap
@@ -89,9 +89,7 @@ func NewLink(c sim.Clock, name string, dst Node, cfg LinkConfig) *Link {
 		qcap:     qcap,
 		up:       true,
 	}
-	if w := sim.WorldOf(l.clock); w != nil {
-		w.Crossing(name, l.clock, l.dstClock, cfg.Delay)
-	}
+	sim.WorldOf(l.clock).Crossing(name, l.clock, l.dstClock, cfg.Delay)
 	l.serName = "link.serialized:" + name
 	l.dlvName = "link.deliver:" + name
 	l.serFn = func(any) { l.queued-- }

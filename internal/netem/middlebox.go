@@ -34,7 +34,7 @@ type MiddleboxStats struct {
 // deployed boxes expire idle state after a few hundred seconds even though
 // the IETF recommends ≥ 2h04m.
 type Middlebox struct {
-	clock       sim.Clock
+	clock       *sim.Clock
 	name        string
 	routes      map[netip.Addr]*Link
 	idleTimeout time.Duration
@@ -59,7 +59,7 @@ func canonicalKey(ft seg.FourTuple) flowKey {
 
 // NewMiddlebox creates a middlebox with the given idle timeout and expiry
 // policy.
-func NewMiddlebox(c sim.Clock, name string, idle time.Duration, policy ExpiryPolicy) *Middlebox {
+func NewMiddlebox(c *sim.Clock, name string, idle time.Duration, policy ExpiryPolicy) *Middlebox {
 	return &Middlebox{
 		clock:       c,
 		name:        name,
@@ -74,7 +74,7 @@ func NewMiddlebox(c sim.Clock, name string, idle time.Duration, policy ExpiryPol
 func (m *Middlebox) Name() string { return m.name }
 
 // Clock implements Node.
-func (m *Middlebox) Clock() sim.Clock { return m.clock }
+func (m *Middlebox) Clock() *sim.Clock { return m.clock }
 
 // AddRoute wires the egress link for a destination address.
 func (m *Middlebox) AddRoute(dst netip.Addr, l *Link) { m.routes[dst] = l }

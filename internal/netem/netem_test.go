@@ -20,7 +20,7 @@ var (
 // sink collects delivered packets with timestamps.
 type sink struct {
 	name string
-	sim  *sim.Simulator
+	sim  *sim.Clock
 	got  []*Packet
 	at   []sim.Time
 }
@@ -29,8 +29,15 @@ func (s *sink) Input(p *Packet) {
 	s.got = append(s.got, p)
 	s.at = append(s.at, s.sim.Now())
 }
-func (s *sink) Name() string     { return s.name }
-func (s *sink) Clock() sim.Clock { return s.sim }
+func (s *sink) Name() string      { return s.name }
+func (s *sink) Clock() *sim.Clock { return s.sim }
+
+// testClock returns a one-shard world and the clock the test's entities
+// share.
+func testClock(seed int64) (*sim.World, *sim.Clock) {
+	w := sim.NewWorld(seed, 1)
+	return w, w.HostClock(0, "test")
+}
 
 func mkpkt(src, dst netip.Addr, payload int) *Packet {
 	return NewPacket(&seg.Segment{
@@ -41,7 +48,7 @@ func mkpkt(src, dst netip.Addr, payload int) *Packet {
 }
 
 func TestLinkTiming(t *testing.T) {
-	s := sim.New(1)
+	w, s := testClock(1)
 	dst := &sink{name: "dst", sim: s}
 	// 8 Mbps, 10 ms delay: a 1000-byte packet serialises in 1 ms.
 	l := NewLink(s, "l", dst, LinkConfig{RateBps: 8e6, Delay: 10 * time.Millisecond})
@@ -51,7 +58,7 @@ func TestLinkTiming(t *testing.T) {
 	}
 	l.Send(pkt)
 	l.Send(mkpkt(ipA, ipB, 1000-20-ipOverhead)) // queued behind the first
-	s.Run()
+	w.Run()
 	if len(dst.got) != 2 {
 		t.Fatalf("delivered %d, want 2", len(dst.got))
 	}
@@ -67,24 +74,24 @@ func TestLinkTiming(t *testing.T) {
 }
 
 func TestLinkInfiniteRate(t *testing.T) {
-	s := sim.New(1)
+	w, s := testClock(1)
 	dst := &sink{name: "dst", sim: s}
 	l := NewLink(s, "l", dst, LinkConfig{Delay: 5 * time.Millisecond})
 	l.Send(mkpkt(ipA, ipB, 100))
-	s.Run()
+	w.Run()
 	if dst.at[0] != 5*sim.Millisecond {
 		t.Fatalf("delivery at %v, want exactly the propagation delay", dst.at[0])
 	}
 }
 
 func TestLinkQueueOverflow(t *testing.T) {
-	s := sim.New(1)
+	w, s := testClock(1)
 	dst := &sink{name: "dst", sim: s}
 	l := NewLink(s, "l", dst, LinkConfig{RateBps: 8e6, QueueCap: 5})
 	for i := 0; i < 10; i++ {
 		l.Send(mkpkt(ipA, ipB, 1000))
 	}
-	s.Run()
+	w.Run()
 	if len(dst.got) != 5 {
 		t.Fatalf("delivered %d, want 5", len(dst.got))
 	}
@@ -94,32 +101,32 @@ func TestLinkQueueOverflow(t *testing.T) {
 }
 
 func TestLinkQueueDrainsOverTime(t *testing.T) {
-	s := sim.New(1)
+	w, s := testClock(1)
 	dst := &sink{name: "dst", sim: s}
 	l := NewLink(s, "l", dst, LinkConfig{RateBps: 8e6, QueueCap: 5})
 	// Send 5, let them serialise, send 5 more: all 10 must arrive.
 	for i := 0; i < 5; i++ {
 		l.Send(mkpkt(ipA, ipB, 1000))
 	}
-	s.RunFor(time.Second)
+	w.RunFor(time.Second)
 	for i := 0; i < 5; i++ {
 		l.Send(mkpkt(ipA, ipB, 1000))
 	}
-	s.Run()
+	w.Run()
 	if len(dst.got) != 10 || l.Stats.DropQueue != 0 {
 		t.Fatalf("delivered %d (drops %d), want 10 (0)", len(dst.got), l.Stats.DropQueue)
 	}
 }
 
 func TestLinkRandomLoss(t *testing.T) {
-	s := sim.New(42)
+	w, s := testClock(42)
 	dst := &sink{name: "dst", sim: s}
 	l := NewLink(s, "l", dst, LinkConfig{Loss: 0.3, QueueCap: 100000})
 	const n = 10000
 	for i := 0; i < n; i++ {
 		l.Send(mkpkt(ipA, ipB, 100))
 	}
-	s.Run()
+	w.Run()
 	lossFrac := float64(l.Stats.LostRand) / n
 	if lossFrac < 0.27 || lossFrac > 0.33 {
 		t.Fatalf("observed loss %f, want ≈0.30", lossFrac)
@@ -130,38 +137,38 @@ func TestLinkRandomLoss(t *testing.T) {
 }
 
 func TestLinkDown(t *testing.T) {
-	s := sim.New(1)
+	w, s := testClock(1)
 	dst := &sink{name: "dst", sim: s}
 	l := NewLink(s, "l", dst, LinkConfig{})
 	l.SetUp(false)
 	l.Send(mkpkt(ipA, ipB, 100))
-	s.Run()
+	w.Run()
 	if len(dst.got) != 0 || l.Stats.DropDown != 1 {
 		t.Fatalf("down link passed traffic: %+v", l.Stats)
 	}
 	l.SetUp(true)
 	l.Send(mkpkt(ipA, ipB, 100))
-	s.Run()
+	w.Run()
 	if len(dst.got) != 1 {
 		t.Fatal("restored link did not pass traffic")
 	}
 }
 
 func TestLinkCutInFlight(t *testing.T) {
-	s := sim.New(1)
+	w, s := testClock(1)
 	dst := &sink{name: "dst", sim: s}
 	l := NewLink(s, "l", dst, LinkConfig{Delay: 10 * time.Millisecond})
 	l.Send(mkpkt(ipA, ipB, 100))
-	s.RunFor(5 * time.Millisecond)
+	w.RunFor(5 * time.Millisecond)
 	l.SetUp(false)
-	s.Run()
+	w.Run()
 	if len(dst.got) != 0 {
 		t.Fatal("packet survived a link cut while in flight")
 	}
 }
 
 func TestHostRoutingAndWatchers(t *testing.T) {
-	s := sim.New(1)
+	w, s := testClock(1)
 	peer := &sink{name: "peer", sim: s}
 	h := NewHost(s, "h")
 	l1 := NewLink(s, "l1", peer, LinkConfig{})
@@ -180,7 +187,7 @@ func TestHostRoutingAndWatchers(t *testing.T) {
 
 	h.Send(mkpkt(ipA, ipC, 10))
 	h.Send(mkpkt(ipB, ipC, 10))
-	s.Run()
+	w.Run()
 	if l1.Stats.Sent != 1 || l2.Stats.Sent != 1 {
 		t.Fatalf("packets not routed by source address: l1=%d l2=%d", l1.Stats.Sent, l2.Stats.Sent)
 	}
@@ -210,13 +217,13 @@ func TestHostRoutingAndWatchers(t *testing.T) {
 }
 
 func TestHostHandlerAndProcDelay(t *testing.T) {
-	s := sim.New(1)
+	w, s := testClock(1)
 	h := NewHost(s, "h")
 	var at []sim.Time
 	h.SetHandler(func(p *Packet) { at = append(at, s.Now()) })
 	h.SetProcDelay(func() time.Duration { return 25 * time.Microsecond })
 	h.Input(mkpkt(ipC, ipA, 10))
-	s.Run()
+	w.Run()
 	if len(at) != 1 || at[0] != 25*sim.Microsecond {
 		t.Fatalf("handler at %v, want 25µs", at)
 	}
@@ -226,7 +233,7 @@ func TestHostHandlerAndProcDelay(t *testing.T) {
 }
 
 func TestRouterECMP(t *testing.T) {
-	s := sim.New(1)
+	w, s := testClock(1)
 	r := NewRouter(s, "r", 7)
 	sinks := make([]*sink, 4)
 	links := make([]*Link, 4)
@@ -253,7 +260,7 @@ func TestRouterECMP(t *testing.T) {
 		}
 		r.Input(p)
 	}
-	s.Run()
+	w.Run()
 	for i, c := range counts {
 		if c < 50 {
 			t.Fatalf("path %d got only %d of 400 flows: skewed hash %v", i, c, counts)
@@ -265,7 +272,7 @@ func TestRouterECMP(t *testing.T) {
 }
 
 func TestRouterSymmetricPaths(t *testing.T) {
-	s := sim.New(1)
+	_, s := testClock(1)
 	r := NewRouter(s, "r", 9)
 	links := make([]*Link, 4)
 	for i := range links {
@@ -282,7 +289,7 @@ func TestRouterSymmetricPaths(t *testing.T) {
 }
 
 func TestRouterDefaultAndNoRoute(t *testing.T) {
-	s := sim.New(1)
+	w, s := testClock(1)
 	r := NewRouter(s, "r", 0)
 	dst := &sink{name: "dst", sim: s}
 	r.Input(mkpkt(ipA, ipB, 10))
@@ -294,14 +301,14 @@ func TestRouterDefaultAndNoRoute(t *testing.T) {
 	}
 	r.SetDefault(NewLink(s, "l", dst, LinkConfig{}))
 	r.Input(mkpkt(ipA, ipB, 10))
-	s.Run()
+	w.Run()
 	if len(dst.got) != 1 {
 		t.Fatal("default route unused")
 	}
 }
 
 func TestMiddleboxIdleExpiry(t *testing.T) {
-	s := sim.New(1)
+	w, s := testClock(1)
 	a := &sink{name: "a", sim: s}
 	b := &sink{name: "b", sim: s}
 	m := NewMiddlebox(s, "nat", 180*time.Second, ExpiryDrop)
@@ -310,7 +317,7 @@ func TestMiddleboxIdleExpiry(t *testing.T) {
 
 	syn := NewPacket(&seg.Segment{Tuple: seg.FourTuple{SrcIP: ipA, DstIP: ipB, SrcPort: 1, DstPort: 2}, Flags: seg.SYN})
 	m.Input(syn)
-	s.Run()
+	w.Run()
 	if len(b.got) != 1 {
 		t.Fatal("SYN not forwarded")
 	}
@@ -319,19 +326,19 @@ func TestMiddleboxIdleExpiry(t *testing.T) {
 	}
 
 	// Activity within the timeout refreshes state — traffic passes.
-	s.RunFor(100 * time.Second)
+	w.RunFor(100 * time.Second)
 	m.Input(mkpktTuple(ipA, ipB, 1, 2))
-	s.RunFor(100 * time.Second)
+	w.RunFor(100 * time.Second)
 	m.Input(mkpktTuple(ipB, ipA, 2, 1)) // reverse direction refreshes too
-	s.Run()
+	w.Run()
 	if len(b.got) != 2 || len(a.got) != 1 {
 		t.Fatalf("mid-flow refresh failed: a=%d b=%d", len(a.got), len(b.got))
 	}
 
 	// Silence past the timeout: next packet is eaten.
-	s.RunFor(200 * time.Second)
+	w.RunFor(200 * time.Second)
 	m.Input(mkpktTuple(ipA, ipB, 1, 2))
-	s.Run()
+	w.Run()
 	if len(b.got) != 2 {
 		t.Fatal("packet traversed expired NAT state")
 	}
@@ -344,23 +351,23 @@ func TestMiddleboxIdleExpiry(t *testing.T) {
 
 	// A fresh SYN reinstalls state.
 	m.Input(syn)
-	s.Run()
+	w.Run()
 	if len(b.got) != 3 {
 		t.Fatal("re-SYN did not reinstall state")
 	}
 }
 
 func TestMiddleboxRSTPolicy(t *testing.T) {
-	s := sim.New(1)
+	w, s := testClock(1)
 	a := &sink{name: "a", sim: s}
 	b := &sink{name: "b", sim: s}
 	m := NewMiddlebox(s, "fw", 10*time.Second, ExpiryRST)
 	m.AddRoute(ipA, NewLink(s, "toA", a, LinkConfig{}))
 	m.AddRoute(ipB, NewLink(s, "toB", b, LinkConfig{}))
 	m.Input(NewPacket(&seg.Segment{Tuple: seg.FourTuple{SrcIP: ipA, DstIP: ipB, SrcPort: 1, DstPort: 2}, Flags: seg.SYN}))
-	s.RunFor(60 * time.Second)
+	w.RunFor(60 * time.Second)
 	m.Input(mkpktTuple(ipA, ipB, 1, 2))
-	s.Run()
+	w.Run()
 	if m.Stats.RSTInjected != 1 {
 		t.Fatalf("RSTInjected = %d, want 1", m.Stats.RSTInjected)
 	}
@@ -395,19 +402,19 @@ func TestQuickFlowHashSymmetry(t *testing.T) {
 }
 
 func TestDuplex(t *testing.T) {
-	s := sim.New(1)
+	w, s := testClock(1)
 	a := &sink{name: "a", sim: s}
 	b := &sink{name: "b", sim: s}
 	d := NewDuplex("d", a, b, LinkConfig{Delay: time.Millisecond})
 	d.AB.Send(mkpkt(ipA, ipB, 10))
 	d.BA.Send(mkpkt(ipB, ipA, 10))
-	s.Run()
+	w.Run()
 	if len(a.got) != 1 || len(b.got) != 1 {
 		t.Fatal("duplex halves misrouted")
 	}
 	d.SetLoss(1.0)
 	d.AB.Send(mkpkt(ipA, ipB, 10))
-	s.Run()
+	w.Run()
 	if len(b.got) != 1 {
 		t.Fatal("SetLoss(1.0) did not drop")
 	}

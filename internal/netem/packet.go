@@ -2,8 +2,8 @@
 // experiments run on: rate/delay/loss links with drop-tail queues, ECMP
 // routers hashing the TCP 4-tuple, multi-homed hosts whose interfaces can go
 // up and down at runtime, and a stateful middlebox with idle timeouts (the
-// NAT/firewall of §4.1). Everything runs on a sim.Simulator virtual clock,
-// so topologies are deterministic and seedable.
+// NAT/firewall of §4.1). Everything runs on sim.Clock virtual clocks, so
+// topologies are deterministic and seedable.
 package netem
 
 import (
@@ -88,7 +88,7 @@ type Node interface {
 	Name() string
 	// Clock is the node's scheduling clock; under a sharded world it pins
 	// the node (and everything it owns) to one shard's event loop.
-	Clock() sim.Clock
+	Clock() *sim.Clock
 }
 
 // FlowHash hashes a 4-tuple for ECMP path selection. The tuple is

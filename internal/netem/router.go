@@ -18,7 +18,7 @@ type RouterStats struct {
 // load balancers of §4.4: subflows with different source ports land on
 // different (but per-flow stable) paths.
 type Router struct {
-	clock    sim.Clock
+	clock    *sim.Clock
 	name     string
 	routes   map[netip.Addr][]*Link
 	fallback []*Link
@@ -30,7 +30,7 @@ type Router struct {
 // NewRouter creates an empty router. hashSeed perturbs the ECMP hash so
 // distinct trials explore different subflow→path assignments, as different
 // random source ports would on real hardware.
-func NewRouter(c sim.Clock, name string, hashSeed uint64) *Router {
+func NewRouter(c *sim.Clock, name string, hashSeed uint64) *Router {
 	return &Router{clock: c, name: name, routes: make(map[netip.Addr][]*Link), hashSeed: hashSeed}
 }
 
@@ -38,7 +38,7 @@ func NewRouter(c sim.Clock, name string, hashSeed uint64) *Router {
 func (r *Router) Name() string { return r.name }
 
 // Clock implements Node.
-func (r *Router) Clock() sim.Clock { return r.clock }
+func (r *Router) Clock() *sim.Clock { return r.clock }
 
 // AddRoute appends links to the ECMP group for dst.
 func (r *Router) AddRoute(dst netip.Addr, links ...*Link) {

@@ -10,10 +10,11 @@ import (
 	"repro/internal/topo"
 )
 
-func twoPathRig(t *testing.T, seed int64, p mptcp.PathManager) (*topo.TwoPath, *mptcp.Connection, *mptcp.Endpoint) {
+func twoPathRig(t *testing.T, seed int64, p mptcp.PathManager) (*sim.World, *topo.TwoPath, *mptcp.Connection, *mptcp.Endpoint) {
 	t.Helper()
 	cfg := netem.LinkConfig{RateBps: 100e6, Delay: 10 * time.Millisecond}
-	n := topo.NewTwoPath(sim.New(seed), cfg, cfg)
+	w := sim.NewWorld(seed, 1)
+	n := topo.NewTwoPath(w, cfg, cfg)
 	cep := mptcp.NewEndpoint(n.Client, mptcp.Config{}, p)
 	sep := mptcp.NewEndpoint(n.Server, mptcp.Config{}, nil)
 	sep.Listen(80, func(*mptcp.Connection) {})
@@ -21,12 +22,12 @@ func twoPathRig(t *testing.T, seed int64, p mptcp.PathManager) (*topo.TwoPath, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, c, cep
+	return w, n, c, cep
 }
 
 func TestFullMeshCreatesSubflowPerInterface(t *testing.T) {
-	n, c, _ := twoPathRig(t, 1, NewFullMesh())
-	n.Sim.Run()
+	w, _, c, _ := twoPathRig(t, 1, NewFullMesh())
+	w.Run()
 	if got := len(c.Subflows()); got != 2 {
 		t.Fatalf("subflows = %d, want 2 (one per interface)", got)
 	}
@@ -46,13 +47,14 @@ func TestFullMeshServerSidePassive(t *testing.T) {
 	// The server's full-mesh PM must NOT create subflows (clients are
 	// behind NATs; only the client side creates).
 	cfg := netem.LinkConfig{RateBps: 100e6, Delay: 10 * time.Millisecond}
-	n := topo.NewTwoPath(sim.New(2), cfg, cfg)
+	w := sim.NewWorld(2, 1)
+	n := topo.NewTwoPath(w, cfg, cfg)
 	cep := mptcp.NewEndpoint(n.Client, mptcp.Config{}, nil) // no client PM
 	sep := mptcp.NewEndpoint(n.Server, mptcp.Config{}, NewFullMesh())
 	var sconn *mptcp.Connection
 	sep.Listen(80, func(c *mptcp.Connection) { sconn = c })
 	cep.Connect(n.ClientAddrs[0], n.ServerAddr, 80, mptcp.ConnCallbacks{})
-	n.Sim.Run()
+	w.Run()
 	if sconn == nil {
 		t.Fatal("no server connection")
 	}
@@ -62,20 +64,20 @@ func TestFullMeshServerSidePassive(t *testing.T) {
 }
 
 func TestFullMeshInterfaceFlap(t *testing.T) {
-	n, c, _ := twoPathRig(t, 3, NewFullMesh())
-	n.Sim.Run()
+	w, n, c, _ := twoPathRig(t, 3, NewFullMesh())
+	w.Run()
 	if len(c.Subflows()) != 2 {
 		t.Fatalf("initial mesh = %d", len(c.Subflows()))
 	}
 	// Interface 1 goes down: its subflow is removed at once.
 	n.Client.SetIfaceUp(n.ClientAddrs[1], false)
-	n.Sim.Run()
+	w.Run()
 	if got := len(c.Subflows()); got != 1 {
 		t.Fatalf("subflows after if-down = %d, want 1", got)
 	}
 	// Interface returns: the mesh is rebuilt.
 	n.Client.SetIfaceUp(n.ClientAddrs[1], true)
-	n.Sim.Run()
+	w.Run()
 	if got := len(c.Subflows()); got != 2 {
 		t.Fatalf("subflows after if-up = %d, want 2", got)
 	}
@@ -85,7 +87,8 @@ func TestFullMeshReactsToAddAddr(t *testing.T) {
 	// Give the server a second address; when it announces it, the client
 	// full-mesh extends to 2 local × 2 remote = 4 subflows.
 	cfg := netem.LinkConfig{RateBps: 100e6, Delay: 10 * time.Millisecond}
-	n := topo.NewTwoPath(sim.New(4), cfg, cfg)
+	w := sim.NewWorld(4, 1)
+	n := topo.NewTwoPath(w, cfg, cfg)
 	serverAddr2 := topo.ServerAddr.Next()
 	n.Server.AddIface("eth1", serverAddr2, n.Trunk.BA)
 	n.Router.AddRoute(serverAddr2, n.Trunk.AB)
@@ -98,17 +101,17 @@ func TestFullMeshReactsToAddAddr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Sim.Run()
+	w.Run()
 	sconn.AnnounceAddr(serverAddr2, 80)
-	n.Sim.Run()
+	w.Run()
 	if got := len(c.Subflows()); got != 4 {
 		t.Fatalf("mesh after ADD_ADDR = %d, want 4", got)
 	}
 }
 
 func TestNDiffPortsCreatesNSubflows(t *testing.T) {
-	n, c, _ := twoPathRig(t, 5, NewNDiffPorts(5))
-	n.Sim.Run()
+	w, n, c, _ := twoPathRig(t, 5, NewNDiffPorts(5))
+	w.Run()
 	if got := len(c.Subflows()); got != 5 {
 		t.Fatalf("subflows = %d, want 5", got)
 	}
@@ -128,13 +131,14 @@ func TestNDiffPortsCreatesNSubflows(t *testing.T) {
 
 func TestNDiffPortsServerPassive(t *testing.T) {
 	cfg := netem.LinkConfig{RateBps: 100e6, Delay: 10 * time.Millisecond}
-	n := topo.NewTwoPath(sim.New(6), cfg, cfg)
+	w := sim.NewWorld(6, 1)
+	n := topo.NewTwoPath(w, cfg, cfg)
 	cep := mptcp.NewEndpoint(n.Client, mptcp.Config{}, nil)
 	sep := mptcp.NewEndpoint(n.Server, mptcp.Config{}, NewNDiffPorts(4))
 	var sconn *mptcp.Connection
 	sep.Listen(80, func(c *mptcp.Connection) { sconn = c })
 	cep.Connect(n.ClientAddrs[0], n.ServerAddr, 80, mptcp.ConnCallbacks{})
-	n.Sim.Run()
+	w.Run()
 	if len(sconn.Subflows()) != 1 {
 		t.Fatalf("server ndiffports created subflows: %d", len(sconn.Subflows()))
 	}

@@ -3,7 +3,7 @@
 // goroutines and aggregates the per-seed results into distributions.
 //
 // Determinism is preserved per seed because every job builds its own
-// sim.Simulator from its seed and shares nothing with the other seeds —
+// sim.World from its seed and shares nothing with the other seeds —
 // the worker pool only changes wall-clock interleaving, never the virtual
 // timeline. Running the same seed set with Parallel=1 or Parallel=8 yields
 // bit-identical per-seed scalars (internal/runner tests enforce this).

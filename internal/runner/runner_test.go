@@ -16,7 +16,7 @@ import (
 // syntheticJob builds a result whose values depend only on the seed,
 // through the same deterministic RNG path real experiments use.
 func syntheticJob(seed int64) *experiments.Result {
-	s := sim.New(seed)
+	s := sim.NewWorld(seed, 1).HostClock(0, "job")
 	res := &experiments.Result{
 		Name:    "synthetic",
 		Samples: map[string]*stats.Sample{},

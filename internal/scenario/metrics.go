@@ -71,7 +71,7 @@ func (rt *Run) MetricsOn() bool { return rt.Registry != nil }
 // TCPMetrics builds the subflow-level metric bundle for a stack running
 // on clock c's shard. With metrics off it returns the zero bundle (nil
 // handles record nothing), so callers wire it unconditionally.
-func (rt *Run) TCPMetrics(c sim.Clock) tcp.Metrics {
+func (rt *Run) TCPMetrics(c *sim.Clock) tcp.Metrics {
 	r := rt.Registry
 	if r == nil {
 		return tcp.Metrics{}
@@ -86,7 +86,7 @@ func (rt *Run) TCPMetrics(c sim.Clock) tcp.Metrics {
 
 // MPTCPMetrics builds the connection-level metric bundle for clock c's
 // shard (zero bundle with metrics off).
-func (rt *Run) MPTCPMetrics(c sim.Clock) mptcp.Metrics {
+func (rt *Run) MPTCPMetrics(c *sim.Clock) mptcp.Metrics {
 	r := rt.Registry
 	if r == nil {
 		return mptcp.Metrics{}
@@ -102,7 +102,7 @@ func (rt *Run) MPTCPMetrics(c sim.Clock) mptcp.Metrics {
 
 // CtlMetrics builds the control-plane metric bundle for clock c's shard
 // (zero bundle with metrics off).
-func (rt *Run) CtlMetrics(c sim.Clock) core.CtlMetrics {
+func (rt *Run) CtlMetrics(c *sim.Clock) core.CtlMetrics {
 	r := rt.Registry
 	if r == nil {
 		return core.CtlMetrics{}
@@ -152,12 +152,8 @@ func metricsProbe(file, title string) Probe {
 // for a fixed shard count but change with it, hence the layout tag.
 // Barrier wait/busy spans are host-speed wall time.
 func (rt *Run) harvestRuntime() {
-	w, ok := rt.Sim.(*sim.World)
-	if !ok {
-		return
-	}
 	r := rt.Registry
-	st := w.RuntimeStats()
+	st := rt.Sim.RuntimeStats()
 	for i, v := range st.ShardEvents {
 		r.Counter("sim_events", i).Add(v)
 	}

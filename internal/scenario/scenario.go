@@ -144,11 +144,11 @@ type Run struct {
 	Spec *RunSpec
 	Seed int64 // the run's simulator seed (scenario seed + offset)
 
-	// Sim drives the simulation (a sim.World; one shard unless the spec
-	// asks for more). Workload and probe callbacks that fire while the
-	// simulation runs must not touch it — they read time and schedule
-	// work through the host clocks (ClientClock/ServerClock) instead.
-	Sim      sim.Runner
+	// Sim drives the simulation (one shard unless the spec asks for
+	// more). Workload and probe callbacks that fire while the simulation
+	// runs must not touch it — they read time and schedule work through
+	// the host clocks (ClientClock/ServerClock) instead.
+	Sim      *sim.World
 	Net      *Net
 	Stack    *smapp.Stack // nil when the workload owns its stacks
 	ServerEp *mptcp.Endpoint
@@ -169,10 +169,10 @@ type Run struct {
 // ClientClock returns client i's host clock — the loop that owns the
 // client's entities. Workload callbacks running inside the simulation
 // read time and schedule follow-up work through it.
-func (rt *Run) ClientClock(i int) sim.Clock { return rt.Net.Clients[i].Host.Clock() }
+func (rt *Run) ClientClock(i int) *sim.Clock { return rt.Net.Clients[i].Host.Clock() }
 
 // ServerClock returns the (first) server's host clock.
-func (rt *Run) ServerClock() sim.Clock { return rt.Net.Server.Clock() }
+func (rt *Run) ServerClock() *sim.Clock { return rt.Net.Server.Clock() }
 
 // Port returns the run's server port.
 func (rt *Run) Port() uint16 {

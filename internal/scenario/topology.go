@@ -11,10 +11,10 @@ import (
 )
 
 // Topology builds the emulated network for one scenario run. The fabric
-// hands out per-entity clocks — a bare *sim.Simulator keeps everything on
-// one event loop, a sharded *sim.World spreads host groups across worker
-// loops — and the seed is the run's simulation seed, for topologies whose
-// shape depends on it (the ECMP hash, the scale aggregation router).
+// hands out per-entity clocks — a *sim.World folds host groups onto its
+// shard event loops — and the seed is the run's simulation seed, for
+// topologies whose shape depends on it (the ECMP hash, the scale
+// aggregation router).
 type Topology interface {
 	Build(f sim.Fabric, seed int64) *Net
 	Describe() string
@@ -166,7 +166,7 @@ type Proc struct {
 	Jitter time.Duration
 }
 
-func (p Proc) model(c sim.Clock) func() time.Duration {
+func (p Proc) model(c *sim.Clock) func() time.Duration {
 	rng := c.Rand()
 	return func() time.Duration {
 		return p.Base + time.Duration(rng.ExpFloat64()*float64(p.Jitter))

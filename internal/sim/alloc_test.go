@@ -14,12 +14,12 @@ func TestScheduleArgAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts differ under -race instrumentation")
 	}
-	s := New(1)
+	w, s := testClock(1)
 	n := 0
 	fn := func(any) { n++ }
 	tick := func() {
 		s.ScheduleArg(s.Now().Add(time.Microsecond), "tick", fn, nil)
-		s.RunFor(time.Millisecond)
+		w.RunFor(time.Millisecond)
 	}
 	for i := 0; i < 64; i++ {
 		tick()
@@ -40,13 +40,13 @@ func TestTimerResetAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts differ under -race instrumentation")
 	}
-	s := New(1)
+	w, s := testClock(1)
 	fired := 0
 	tm := NewTimer(s, "t", func() { fired++ })
 	cycle := func() {
 		tm.Reset(time.Microsecond)
 		tm.Reset(2 * time.Microsecond) // re-arm while pending (heap.Fix path)
-		s.RunFor(time.Millisecond)
+		w.RunFor(time.Millisecond)
 	}
 	for i := 0; i < 16; i++ {
 		cycle()
@@ -63,13 +63,13 @@ func TestTimerResetAllocFree(t *testing.T) {
 // TestScheduleArgOrdering checks pooled events share the same global FIFO
 // tie-break as classic events: equal timestamps fire in schedule order.
 func TestScheduleArgOrdering(t *testing.T) {
-	s := New(1)
+	w, s := testClock(1)
 	var got []int
 	s.Schedule(10, "a", func() { got = append(got, 1) })
 	s.ScheduleArg(10, "b", func(any) { got = append(got, 2) }, nil)
 	s.Schedule(10, "c", func() { got = append(got, 3) })
 	s.ScheduleArg(5, "d", func(any) { got = append(got, 0) }, nil)
-	s.Run()
+	w.Run()
 	for i, v := range got {
 		if i != v {
 			t.Fatalf("fire order %v, want [0 1 2 3]", got)
@@ -82,12 +82,12 @@ func TestScheduleArgOrdering(t *testing.T) {
 
 // TestScheduleArgPassesArg checks the per-event state pointer round-trips.
 func TestScheduleArgPassesArg(t *testing.T) {
-	s := New(1)
+	w, s := testClock(1)
 	type box struct{ v int }
 	b := &box{7}
 	var seen *box
 	s.ScheduleArg(1, "x", func(a any) { seen = a.(*box) }, b)
-	s.Run()
+	w.Run()
 	if seen != b {
 		t.Fatal("arg did not round-trip through the pooled event")
 	}
@@ -96,7 +96,7 @@ func TestScheduleArgPassesArg(t *testing.T) {
 // TestTimerStopWhilePending re-checks Stop/Armed semantics on the
 // owned-event implementation.
 func TestTimerStopWhilePending(t *testing.T) {
-	s := New(1)
+	w, s := testClock(1)
 	fired := false
 	tm := NewTimer(s, "t", func() { fired = true })
 	tm.Reset(time.Millisecond)
@@ -107,12 +107,12 @@ func TestTimerStopWhilePending(t *testing.T) {
 	if tm.Armed() {
 		t.Fatal("timer armed after Stop")
 	}
-	s.RunFor(10 * time.Millisecond)
+	w.RunFor(10 * time.Millisecond)
 	if fired {
 		t.Fatal("stopped timer fired")
 	}
 	tm.Reset(time.Millisecond)
-	s.RunFor(10 * time.Millisecond)
+	w.RunFor(10 * time.Millisecond)
 	if !fired {
 		t.Fatal("re-armed timer did not fire")
 	}

@@ -2,105 +2,28 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"math/rand"
 	"time"
 )
 
-// Clock is the scheduling surface every simulated entity (host, link,
-// protocol stack, application) programs against. A Clock is bound to one
-// event loop: the whole-simulation loop of a bare *Simulator, or one shard
-// of a *World. Entities never touch the loop directly, which is what lets
-// the same stack code run single-threaded or sharded.
-//
-// The interface has unexported methods on purpose: only the sim package
-// implements it (*Simulator and the per-entity clocks a World issues), so
-// the loop internals — owned-event re-arming, cross-shard posting — stay
-// inside the package.
-type Clock interface {
-	// Now reports the current virtual time of the clock's event loop.
-	Now() Time
-	// Rand is the clock's deterministic random stream. A bare Simulator
-	// has one shared stream; a World gives every entity its own, so draws
-	// do not depend on how entities interleave across shards.
-	Rand() *rand.Rand
-	// Schedule runs fn at absolute virtual time when (see Simulator.Schedule).
-	Schedule(when Time, name string, fn func()) *Event
-	// After runs fn d after the current time.
-	After(d time.Duration, name string, fn func()) *Event
-	// ScheduleArg is the allocation-free Schedule variant (see
-	// Simulator.ScheduleArg).
-	ScheduleArg(when Time, name string, fn func(any), arg any)
-	// AfterArg is ScheduleArg relative to the current time.
-	AfterArg(d time.Duration, name string, fn func(any), arg any)
-	// Cancel removes a pending event scheduled through this clock.
-	Cancel(e *Event)
-	// Reschedule cancels e (if pending) and schedules fn at when.
-	Reschedule(e *Event, when Time, name string, fn func()) *Event
-	// SendTo schedules a pooled event onto dst's event loop, ordered by
-	// THIS clock's identity. It is the one legal way to schedule work for
-	// an entity that may live on another shard (netem links use it for
-	// packet delivery); when src and dst share a loop it degenerates to
-	// ScheduleArg. The destination timestamp must be at least one
-	// cross-shard lookahead in the future, which link propagation delays
-	// guarantee by construction.
-	SendTo(dst Clock, when Time, name string, fn func(any), arg any)
-	// Derive creates a sibling clock on the same event loop with its own
-	// identity and random stream — links derive theirs from the source
-	// node's clock. On a bare Simulator it returns the simulator itself.
-	Derive(name string) Clock
-
-	rearmOwned(e *Event, when Time)
-	cancelOwned(e *Event)
-	loop() (*Simulator, int)
-	world() *World
-}
-
 // Fabric hands out per-entity clocks during topology construction. Hosts
-// in the same group share a shard; the fabric maps groups to shards. A
-// bare *Simulator is the trivial fabric (everything on one loop), so
-// existing single-simulator call sites build unchanged.
+// in the same group share a shard; the fabric maps groups to shards.
+// *World is the fabric every run builds on.
 type Fabric interface {
 	// HostClock returns the clock for a host in the given placement
 	// group. Groups are stable topology-level labels; the fabric decides
 	// how they fold onto shards.
-	HostClock(group int, name string) Clock
+	HostClock(group int, name string) *Clock
 }
 
-// Runner drives a whole simulation from the outside: the scenario engine
-// and workloads only ever need this view. Both *Simulator and *World
-// implement it.
-type Runner interface {
-	Fabric
-	// Now reports the committed virtual time: every event at or before it
-	// has executed.
-	Now() Time
-	// RunUntil executes events with timestamps <= deadline, then advances
-	// the clock to deadline.
-	RunUntil(deadline Time)
-	// RunFor advances the clock by d.
-	RunFor(d time.Duration)
-	// Processed counts events executed since construction.
-	Processed() uint64
-	// ScheduleGlobal schedules fn at when with a whole-simulation barrier:
-	// fn runs after every event at or before when, with all shards paused,
-	// so it may touch state owned by any shard (loss steps, interface
-	// flaps). On a bare Simulator it is a plain Schedule.
-	ScheduleGlobal(when Time, name string, fn func())
-}
+// WorldOf reports the world a clock belongs to. netem uses it to register
+// cross-shard link crossings.
+func WorldOf(c *Clock) *World { return c.w }
 
-// WorldOf reports the sharded world a clock belongs to, or nil for a bare
-// *Simulator. netem uses it to register cross-shard link crossings.
-func WorldOf(c Clock) *World { return c.world() }
-
-// ShardIndex reports which shard's event loop a clock schedules on (0 on
-// a bare *Simulator). The metrics layer uses it to hand each host's
-// stack the storage slot its shard owns, keeping every metric slot
-// single-writer.
-func ShardIndex(c Clock) int {
-	_, sh := c.loop()
-	return sh
-}
+// ShardIndex reports which shard's event loop a clock schedules on. The
+// metrics layer uses it to hand each host's stack the storage slot its
+// shard owns, keeping every metric slot single-writer.
+func ShardIndex(c *Clock) int { return c.shard }
 
 // splitmix64 is the SplitMix64 mixer — cheap, full-period, and good
 // enough to decorrelate per-entity seeds derived from one run seed.
@@ -118,13 +41,19 @@ func entitySeed(seed int64, ent uint64) int64 {
 	return int64(splitmix64(splitmix64(uint64(seed)) + ent))
 }
 
-// entityClock is the per-entity Clock a World issues. Events it schedules
-// are ordered by (when, ent, seq): ent is the entity's build ordinal and
-// seq its private counter, so the total event order — and therefore every
-// simulated result — is independent of how entities fold onto shards.
-type entityClock struct {
+// Clock is the scheduling surface every simulated entity (host, link,
+// protocol stack, application) programs against. A World issues one per
+// entity, bound to the shard event loop the entity lives on; entities
+// never touch the loop directly, which is what lets the same stack code
+// run on one shard or many.
+//
+// Events a Clock schedules are ordered by (when, ent, seq): ent is the
+// entity's build ordinal and seq its private counter, so the total event
+// order — and therefore every simulated result — is independent of how
+// entities fold onto shards.
+type Clock struct {
 	w     *World
-	sh    *Simulator
+	sh    *eventLoop
 	shard int
 	ent   uint64
 	seq   uint64
@@ -132,64 +61,99 @@ type entityClock struct {
 	name  string
 }
 
-func (c *entityClock) next() uint64 {
+func (c *Clock) next() uint64 {
 	n := c.seq
 	c.seq++
 	return n
 }
 
-func (c *entityClock) Now() Time        { return c.sh.now }
-func (c *entityClock) Rand() *rand.Rand { return c.rng }
+// Now reports the current virtual time of the clock's event loop.
+func (c *Clock) Now() Time { return c.sh.now }
 
-func (c *entityClock) Schedule(when Time, name string, fn func()) *Event {
-	if when < c.sh.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", name, when, c.sh.now))
-	}
+// Rand is the clock's deterministic random stream. Every entity has its
+// own, so draws do not depend on how entities interleave across shards.
+// All model randomness (loss draws, jitter, port selection) comes from
+// here.
+func (c *Clock) Rand() *rand.Rand { return c.rng }
+
+// Schedule runs fn at absolute virtual time when. Scheduling in the past
+// (before Now) panics: it always indicates a model bug.
+func (c *Clock) Schedule(when Time, name string, fn func()) *Event {
+	c.sh.checkFuture(when, name)
 	e := &Event{when: when, ent: c.ent, seq: c.next(), fn: fn, name: name}
 	heap.Push(&c.sh.queue, e)
 	return e
 }
 
-func (c *entityClock) After(d time.Duration, name string, fn func()) *Event {
+// After runs fn d after the current time.
+func (c *Clock) After(d time.Duration, name string, fn func()) *Event {
 	if d < 0 {
 		d = 0
 	}
 	return c.Schedule(c.sh.now.Add(d), name, fn)
 }
 
-func (c *entityClock) ScheduleArg(when Time, name string, fn func(any), arg any) {
+// ScheduleArg is the allocation-free Schedule variant for the data path:
+// fn must be a preallocated func value and any per-event state rides in
+// arg (pass a pointer so boxing into the interface does not allocate).
+// The backing Event comes from the loop's free list and is recycled right
+// after firing, so no handle is returned and the event cannot be
+// cancelled.
+func (c *Clock) ScheduleArg(when Time, name string, fn func(any), arg any) {
 	c.sh.scheduleArgKeyed(when, c.ent, c.next(), name, fn, arg)
 }
 
-func (c *entityClock) AfterArg(d time.Duration, name string, fn func(any), arg any) {
+// AfterArg is ScheduleArg relative to the current time.
+func (c *Clock) AfterArg(d time.Duration, name string, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
 	}
 	c.ScheduleArg(c.sh.now.Add(d), name, fn, arg)
 }
 
-func (c *entityClock) Cancel(e *Event) { c.sh.Cancel(e) }
+// Cancel removes a pending event scheduled through this clock. Cancelling
+// a fired or already-cancelled event is a no-op, so callers may cancel
+// unconditionally.
+func (c *Clock) Cancel(e *Event) {
+	if e == nil || e.idx < 0 {
+		return
+	}
+	c.sh.remove(e)
+	e.fn = nil
+}
 
-func (c *entityClock) Reschedule(e *Event, when Time, name string, fn func()) *Event {
+// Reschedule cancels e (if pending) and schedules fn at when, returning
+// the new event. It is the common pattern for restarting timers.
+func (c *Clock) Reschedule(e *Event, when Time, name string, fn func()) *Event {
 	c.Cancel(e)
 	return c.Schedule(when, name, fn)
 }
 
-func (c *entityClock) SendTo(dst Clock, when Time, name string, fn func(any), arg any) {
-	_, dshard := dst.loop()
-	if dshard == c.shard {
+// SendTo schedules a pooled event onto dst's event loop, ordered by THIS
+// clock's identity. It is the one legal way to schedule work for an
+// entity that may live on another shard (netem links use it for packet
+// delivery); when src and dst share a loop it degenerates to ScheduleArg.
+// The destination timestamp must be at least one cross-shard lookahead in
+// the future, which link propagation delays guarantee by construction.
+func (c *Clock) SendTo(dst *Clock, when Time, name string, fn func(any), arg any) {
+	if dst.shard == c.shard {
 		c.sh.scheduleArgKeyed(when, c.ent, c.next(), name, fn, arg)
 		return
 	}
-	c.w.post(dshard, crossMsg{when: when, ent: c.ent, seq: c.next(), name: name, fn: fn, arg: arg})
+	c.w.post(dst.shard, crossMsg{when: when, ent: c.ent, seq: c.next(), name: name, fn: fn, arg: arg})
 }
 
-func (c *entityClock) Derive(name string) Clock { return c.w.deriveClock(c.shard, name) }
+// Derive creates a sibling clock on the same event loop with its own
+// identity and random stream — links derive theirs from the source node's
+// clock.
+func (c *Clock) Derive(name string) *Clock { return c.w.deriveClock(c.shard, name) }
 
-func (c *entityClock) rearmOwned(e *Event, when Time) {
-	if when < c.sh.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", e.name, when, c.sh.now))
-	}
+// rearmOwned (re)schedules a caller-owned event (Timer / Ticker): if
+// pending it moves in place via heap.Fix, otherwise it is pushed afresh.
+// The event's fn survives firing, so one Event serves its owner's whole
+// lifetime without allocation.
+func (c *Clock) rearmOwned(e *Event, when Time) {
+	c.sh.checkFuture(when, e.name)
 	e.when = when
 	e.ent = c.ent
 	e.seq = c.next()
@@ -200,6 +164,5 @@ func (c *entityClock) rearmOwned(e *Event, when Time) {
 	heap.Push(&c.sh.queue, e)
 }
 
-func (c *entityClock) cancelOwned(e *Event)    { c.sh.cancelOwned(e) }
-func (c *entityClock) loop() (*Simulator, int) { return c.sh, c.shard }
-func (c *entityClock) world() *World           { return c.w }
+// cancelOwned removes a pending owned event without clearing its fn.
+func (c *Clock) cancelOwned(e *Event) { c.sh.remove(e) }

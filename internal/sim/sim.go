@@ -1,17 +1,19 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // All higher layers of this repository (network emulation, the TCP and
-// Multipath TCP stacks, the subflow controllers) are driven by a single
-// virtual clock owned by a Simulator. Events are callbacks scheduled at
-// absolute virtual times; the simulator repeatedly pops the earliest event
-// and runs it. Runs are fully deterministic for a given seed, which makes
-// every experiment in this repository reproducible bit-for-bit.
+// Multipath TCP stacks, the subflow controllers) schedule against a
+// *Clock: a per-entity view of one shard event loop of a World. Events
+// are callbacks scheduled at absolute virtual times; each shard
+// repeatedly pops its earliest event and runs it, and the World advances
+// the shards in lockstep windows. A World of one shard is the plain
+// single-threaded simulator. Runs are fully deterministic for a given
+// seed at any shard count, which makes every experiment in this
+// repository reproducible bit-for-bit.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
-	"math/rand"
 	"time"
 )
 
@@ -41,20 +43,20 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Add returns the time d after t.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
-// Event is a scheduled callback. Holding the *Event returned by Schedule
-// allows cancellation.
+// Event is a scheduled callback. Holding the *Event returned by
+// Clock.Schedule allows cancellation.
 //
 // Events come in three flavours, distinguished so the steady-state data
 // path never allocates:
 //   - classic events (Schedule/After): heap-allocated, handle escapes to
 //     the caller, never recycled;
-//   - pooled events (ScheduleArg): drawn from the simulator's free list
+//   - pooled events (ScheduleArg): drawn from the shard loop's free list
 //     and recycled immediately after firing — no handle, no cancellation;
 //   - owned events (Timer/Ticker): embedded in their owner and re-armed
 //     in place for the owner's whole lifetime.
 type Event struct {
 	when Time
-	ent  uint64 // owning entity ordinal (0 on a bare Simulator)
+	ent  uint64 // owning entity ordinal (its Clock's build order)
 	seq  uint64 // tie-break: FIFO among equal (when, ent)
 	fn   func()
 	idx  int // heap index, -1 once removed
@@ -76,11 +78,11 @@ type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
 
-// Less orders events by the total key (when, ent, seq). On a bare
-// Simulator every event has ent 0, so the order degenerates to the classic
-// (when, seq) FIFO. Under a sharded World the entity ordinal and per-entity
-// sequence make the key independent of how entities fold onto shards,
-// which is what keeps sharded runs bit-identical at any shard count.
+// Less orders events by the total key (when, ent, seq): FIFO per entity
+// among equal times, entities in build order. The entity ordinal and
+// per-entity sequence make the key independent of how entities fold onto
+// shards, which is what keeps sharded runs bit-identical at any shard
+// count.
 func (h eventHeap) Less(i, j int) bool {
 	if h[i].when != h[j].when {
 		return h[i].when < h[j].when
@@ -110,20 +112,18 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// Simulator owns the virtual clock and the pending event queue.
-// It is not safe for concurrent use: the entire simulation is single
-// threaded by design, which is what makes it deterministic.
-type Simulator struct {
+// eventLoop is one shard's virtual clock and pending event queue. It is
+// not safe for concurrent use: a shard runs on one goroutine at a time,
+// and only the World hands it work (through the shard's Clocks between
+// barriers, and through the mailbox at a barrier).
+type eventLoop struct {
 	now       Time
 	queue     eventHeap
-	nextSeq   uint64
-	rng       *rand.Rand
-	stopped   bool
 	free      []*Event // recycled pooled events (ScheduleArg)
 	processed uint64
 
 	// Pooled-event free-list traffic. Single-writer (the loop's own
-	// goroutine), harvested between runs via EventPoolStats.
+	// goroutine), harvested between runs via World.RuntimeStats.
 	evGets uint64 // pooled events drawn (free list or fresh)
 	evPuts uint64 // pooled events recycled after firing
 	evNews uint64 // draws that missed the free list
@@ -133,89 +133,20 @@ type Simulator struct {
 // is returned to the garbage collector.
 const maxFreeEvents = 1 << 14
 
-// New returns a simulator whose random source is seeded with seed.
-// The same seed always yields the same run.
-func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Now reports the current virtual time.
-func (s *Simulator) Now() Time { return s.now }
-
-// Processed counts events executed since construction.
-func (s *Simulator) Processed() uint64 { return s.processed }
-
-// EventPoolStats snapshots the pooled-event free-list counters: events
-// drawn, events recycled, and draws that had to heap-allocate. Gets-News
-// is the number of reuses.
-func (s *Simulator) EventPoolStats() (gets, puts, news uint64) {
-	return s.evGets, s.evPuts, s.evNews
-}
-
-// Rand exposes the simulation's deterministic random source. All model
-// randomness (loss draws, jitter, port selection) must come from here.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
-// Schedule runs fn at absolute virtual time when. Scheduling in the past
-// (before Now) panics: it always indicates a model bug.
-func (s *Simulator) Schedule(when Time, name string, fn func()) *Event {
+// checkFuture panics when when lies before the loop's clock: scheduling
+// in the past always indicates a model bug.
+func (s *eventLoop) checkFuture(when Time, name string) {
 	if when < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", name, when, s.now))
 	}
-	e := &Event{when: when, seq: s.nextSeq, fn: fn, name: name}
-	s.nextSeq++
-	heap.Push(&s.queue, e)
-	return e
-}
-
-// After runs fn d after the current time.
-func (s *Simulator) After(d time.Duration, name string, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return s.Schedule(s.now.Add(d), name, fn)
-}
-
-// ScheduleArg is the allocation-free Schedule variant for the data path:
-// fn must be a preallocated func value and any per-event state rides in
-// arg (pass a pointer so boxing into the interface does not allocate).
-// The backing Event comes from a free list and is recycled right after
-// firing, so no handle is returned and the event cannot be cancelled.
-func (s *Simulator) ScheduleArg(when Time, name string, fn func(any), arg any) {
-	if when < s.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", name, when, s.now))
-	}
-	var e *Event
-	s.evGets++
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		s.evNews++
-		e = &Event{pooled: true}
-	}
-	e.when, e.seq, e.name, e.argFn, e.arg = when, s.nextSeq, name, fn, arg
-	s.nextSeq++
-	heap.Push(&s.queue, e)
-}
-
-// AfterArg is ScheduleArg relative to the current time.
-func (s *Simulator) AfterArg(d time.Duration, name string, fn func(any), arg any) {
-	if d < 0 {
-		d = 0
-	}
-	s.ScheduleArg(s.now.Add(d), name, fn, arg)
 }
 
 // scheduleArgKeyed pushes a pooled event with a caller-provided ordering
-// key. Per-entity clocks and the cross-shard mailbox route through here so
-// the (when, ent, seq) key is computed by the sender, making the total
-// order independent of which shard the event lands on.
-func (s *Simulator) scheduleArgKeyed(when Time, ent, seqn uint64, name string, fn func(any), arg any) {
-	if when < s.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", name, when, s.now))
-	}
+// key. Clocks and the cross-shard mailbox route through here so the
+// (when, ent, seq) key is computed by the sender, making the total order
+// independent of which shard the event lands on.
+func (s *eventLoop) scheduleArgKeyed(when Time, ent, seqn uint64, name string, fn func(any), arg any) {
+	s.checkFuture(when, name)
 	var e *Event
 	s.evGets++
 	if n := len(s.free); n > 0 {
@@ -230,62 +161,18 @@ func (s *Simulator) scheduleArgKeyed(when Time, ent, seqn uint64, name string, f
 	heap.Push(&s.queue, e)
 }
 
-// rearmOwned (re)schedules a caller-owned event (sim.Timer / Ticker): if
-// pending it moves in place via heap.Fix, otherwise it is pushed afresh.
-// The event's fn survives firing, so one Event serves its owner's whole
-// lifetime without allocation.
-func (s *Simulator) rearmOwned(e *Event, when Time) {
-	if when < s.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", e.name, when, s.now))
-	}
-	e.when = when
-	e.seq = s.nextSeq
-	s.nextSeq++
-	if e.idx >= 0 {
-		heap.Fix(&s.queue, e.idx)
-		return
-	}
-	heap.Push(&s.queue, e)
-}
-
-// cancelOwned removes a pending owned event without clearing its fn.
-func (s *Simulator) cancelOwned(e *Event) {
-	if e.idx < 0 {
-		return
-	}
-	heap.Remove(&s.queue, e.idx)
-	e.idx = -1
-}
-
-// Cancel removes a pending event. Cancelling a fired or already-cancelled
-// event is a no-op, so callers may cancel unconditionally.
-func (s *Simulator) Cancel(e *Event) {
+// remove takes a pending event off the queue; fired or already-removed
+// events are left alone.
+func (s *eventLoop) remove(e *Event) {
 	if e == nil || e.idx < 0 {
 		return
 	}
 	heap.Remove(&s.queue, e.idx)
 	e.idx = -1
-	e.fn = nil
 }
 
-// Reschedule cancels e (if pending) and schedules fn at when, returning the
-// new event. It is the common pattern for restarting timers.
-func (s *Simulator) Reschedule(e *Event, when Time, name string, fn func()) *Event {
-	s.Cancel(e)
-	return s.Schedule(when, name, fn)
-}
-
-// Pending reports the number of events still queued.
-func (s *Simulator) Pending() int { return len(s.queue) }
-
-// Stop makes Run/RunUntil return after the currently executing event.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// step executes the earliest event. It reports false when the queue is empty.
-func (s *Simulator) step() bool {
-	if len(s.queue) == 0 {
-		return false
-	}
+// step executes the earliest event.
+func (s *eventLoop) step() {
 	e := heap.Pop(&s.queue).(*Event)
 	if e.when < s.now {
 		panic("sim: time went backwards")
@@ -313,40 +200,12 @@ func (s *Simulator) step() bool {
 			fn()
 		}
 	}
-	return true
 }
-
-// Run executes events until the queue drains or Stop is called.
-func (s *Simulator) Run() {
-	s.stopped = false
-	for !s.stopped && s.step() {
-	}
-}
-
-// RunUntil executes events with timestamps <= deadline, then sets the clock
-// to deadline (if it is later than the last event executed).
-func (s *Simulator) RunUntil(deadline Time) {
-	s.stopped = false
-	for !s.stopped {
-		if len(s.queue) == 0 || s.queue[0].when > deadline {
-			break
-		}
-		s.step()
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-}
-
-// RunFor advances the clock by d, executing everything due in the window.
-func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
 
 // runWindow executes queued events up to limit — strictly below it when
 // inclusive is false, through it when true — then parks the clock at
-// limit. It is the shard-side worker for World's conservative windows;
-// unlike RunUntil it ignores Stop, because only the World may end a
-// sharded run.
-func (s *Simulator) runWindow(limit Time, inclusive bool) {
+// limit. It is the shard-side worker for World's conservative windows.
+func (s *eventLoop) runWindow(limit Time, inclusive bool) {
 	for len(s.queue) > 0 {
 		top := s.queue[0].when
 		if top > limit || (!inclusive && top == limit) {
@@ -358,31 +217,3 @@ func (s *Simulator) runWindow(limit Time, inclusive bool) {
 		s.now = limit
 	}
 }
-
-// The bare Simulator is also the trivial sharded world: every entity
-// shares its single event loop and random stream, SendTo degenerates to a
-// local pooled push, and global events are ordinary events. This keeps the
-// direct-simulator call sites (unit tests, examples, single-shard runs)
-// byte-for-byte identical to the pre-sharding engine.
-
-// Derive returns the simulator itself: on a single loop all entities share
-// one identity and one random stream.
-func (s *Simulator) Derive(name string) Clock { return s }
-
-// SendTo schedules a pooled event onto dst's loop; on a bare Simulator
-// src and dst always share the loop.
-func (s *Simulator) SendTo(dst Clock, when Time, name string, fn func(any), arg any) {
-	s.ScheduleArg(when, name, fn, arg)
-}
-
-// HostClock implements Fabric: every group maps to the single loop.
-func (s *Simulator) HostClock(group int, name string) Clock { return s }
-
-// ScheduleGlobal implements Runner: with one loop a global event needs no
-// barrier and is a plain Schedule.
-func (s *Simulator) ScheduleGlobal(when Time, name string, fn func()) {
-	s.Schedule(when, name, fn)
-}
-
-func (s *Simulator) loop() (*Simulator, int) { return s, 0 }
-func (s *Simulator) world() *World           { return nil }

@@ -1,19 +1,27 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
+// testClock returns a one-shard world and the single entity clock a test
+// schedules on.
+func testClock(seed int64) (*World, *Clock) {
+	w := NewWorld(seed, 1)
+	return w, w.HostClock(0, "test")
+}
+
 func TestScheduleOrdering(t *testing.T) {
-	s := New(1)
+	w, s := testClock(1)
 	var got []int
 	s.Schedule(30*Millisecond, "c", func() { got = append(got, 3) })
 	s.Schedule(10*Millisecond, "a", func() { got = append(got, 1) })
 	s.Schedule(20*Millisecond, "b", func() { got = append(got, 2) })
-	s.Run()
+	w.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -26,13 +34,13 @@ func TestScheduleOrdering(t *testing.T) {
 }
 
 func TestFIFOAmongEqualTimes(t *testing.T) {
-	s := New(1)
+	w, s := testClock(1)
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
 		s.Schedule(Second, "e", func() { got = append(got, i) })
 	}
-	s.Run()
+	w.Run()
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("equal-time events not FIFO: %v", got)
@@ -40,12 +48,29 @@ func TestFIFOAmongEqualTimes(t *testing.T) {
 	}
 }
 
+// TestTiesOrderByEntity pins the total order among equal times: entities
+// in build order, then FIFO within each entity.
+func TestTiesOrderByEntity(t *testing.T) {
+	w := NewWorld(1, 1)
+	a := w.HostClock(0, "a")
+	b := w.HostClock(0, "b")
+	var got []string
+	b.Schedule(Second, "b0", func() { got = append(got, "b0") })
+	a.Schedule(Second, "a0", func() { got = append(got, "a0") })
+	b.Schedule(Second, "b1", func() { got = append(got, "b1") })
+	a.Schedule(Second, "a1", func() { got = append(got, "a1") })
+	w.Run()
+	if fmt.Sprint(got) != "[a0 a1 b0 b1]" {
+		t.Fatalf("tie order = %v, want [a0 a1 b0 b1]", got)
+	}
+}
+
 func TestCancel(t *testing.T) {
-	s := New(1)
+	w, s := testClock(1)
 	fired := false
 	e := s.Schedule(Second, "x", func() { fired = true })
 	s.Cancel(e)
-	s.Run()
+	w.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -58,7 +83,7 @@ func TestCancel(t *testing.T) {
 }
 
 func TestCancelInterleaved(t *testing.T) {
-	s := New(1)
+	w, s := testClock(1)
 	var got []string
 	var e2 *Event
 	s.Schedule(10, "a", func() {
@@ -67,30 +92,30 @@ func TestCancelInterleaved(t *testing.T) {
 	})
 	e2 = s.Schedule(20, "b", func() { got = append(got, "b") })
 	s.Schedule(30, "c", func() { got = append(got, "c") })
-	s.Run()
+	w.Run()
 	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
 		t.Fatalf("got %v, want [a c]", got)
 	}
 }
 
 func TestSchedulingFromWithinEvent(t *testing.T) {
-	s := New(1)
+	w, s := testClock(1)
 	var times []Time
 	s.Schedule(10, "outer", func() {
 		s.After(5*time.Nanosecond, "inner", func() {
 			times = append(times, s.Now())
 		})
 	})
-	s.Run()
+	w.Run()
 	if len(times) != 1 || times[0] != 15 {
 		t.Fatalf("inner event at %v, want [15]", times)
 	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
-	s := New(1)
+	w, s := testClock(1)
 	s.Schedule(100, "x", func() {})
-	s.Run()
+	w.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
@@ -100,57 +125,36 @@ func TestSchedulePastPanics(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	s := New(1)
+	w, s := testClock(1)
 	var fired []Time
 	for _, w := range []Time{10, 20, 30, 40} {
 		w := w
 		s.Schedule(w, "e", func() { fired = append(fired, w) })
 	}
-	s.RunUntil(25)
+	w.RunUntil(25)
 	if len(fired) != 2 {
 		t.Fatalf("fired %v, want 2 events", fired)
 	}
 	if s.Now() != 25 {
 		t.Fatalf("Now = %v, want 25", s.Now())
 	}
-	s.Run()
+	w.Run()
 	if len(fired) != 4 {
 		t.Fatalf("remaining events lost: %v", fired)
 	}
 }
 
 func TestRunForAdvancesIdleClock(t *testing.T) {
-	s := New(1)
-	s.RunFor(3 * time.Second)
+	w, s := testClock(1)
+	w.RunFor(3 * time.Second)
 	if s.Now() != 3*Second {
 		t.Fatalf("Now = %v, want 3s", s.Now())
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.Schedule(Time(i), "e", func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (Stop ignored)", count)
-	}
-	s.Run() // resume
-	if count != 10 {
-		t.Fatalf("count = %d after resume, want 10", count)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []int64 {
-		s := New(seed)
+		w, s := testClock(seed)
 		var vals []int64
 		var rec func()
 		rec = func() {
@@ -160,7 +164,7 @@ func TestDeterminism(t *testing.T) {
 			}
 		}
 		s.After(time.Microsecond, "r", rec)
-		s.Run()
+		w.Run()
 		return vals
 	}
 	a, b := run(42), run(42)
@@ -183,7 +187,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestTimerResetStop(t *testing.T) {
-	s := New(1)
+	w, s := testClock(1)
 	count := 0
 	tm := NewTimer(s, "t", func() { count++ })
 	tm.Reset(10 * time.Millisecond)
@@ -194,7 +198,7 @@ func TestTimerResetStop(t *testing.T) {
 	if tm.Deadline() != 20*Millisecond {
 		t.Fatalf("deadline = %v, want 20ms", tm.Deadline())
 	}
-	s.Run()
+	w.Run()
 	if count != 1 {
 		t.Fatalf("count = %d, want 1", count)
 	}
@@ -203,7 +207,7 @@ func TestTimerResetStop(t *testing.T) {
 	}
 	tm.Reset(5 * time.Millisecond)
 	tm.Stop()
-	s.Run()
+	w.Run()
 	if count != 1 {
 		t.Fatalf("stopped timer fired, count = %d", count)
 	}
@@ -213,18 +217,18 @@ func TestTimerResetStop(t *testing.T) {
 }
 
 func TestTimerResetAt(t *testing.T) {
-	s := New(1)
+	w, s := testClock(1)
 	var at Time = -1
 	tm := NewTimer(s, "t", func() { at = s.Now() })
 	tm.ResetAt(77 * Microsecond)
-	s.Run()
+	w.Run()
 	if at != 77*Microsecond {
 		t.Fatalf("fired at %v, want 77µs", at)
 	}
 }
 
 func TestTicker(t *testing.T) {
-	s := New(1)
+	w, s := testClock(1)
 	var ticks []Time
 	var tk *Ticker
 	tk = NewTicker(s, 100*time.Millisecond, "tick", func() {
@@ -233,7 +237,7 @@ func TestTicker(t *testing.T) {
 			tk.Stop()
 		}
 	})
-	s.RunUntil(10 * Second)
+	w.RunUntil(10 * Second)
 	if len(ticks) != 5 {
 		t.Fatalf("got %d ticks, want 5", len(ticks))
 	}
@@ -267,7 +271,7 @@ func TestQuickOrderingProperty(t *testing.T) {
 		if len(offsets) == 0 {
 			return true
 		}
-		s := New(7)
+		w, s := testClock(7)
 		type rec struct {
 			when Time
 			seq  int
@@ -282,7 +286,7 @@ func TestQuickOrderingProperty(t *testing.T) {
 			i := i
 			s.Schedule(w, "q", func() { fired = append(fired, rec{s.Now(), i}) })
 		}
-		s.Run()
+		w.Run()
 		if s.Now() != max {
 			return false
 		}
@@ -305,7 +309,7 @@ func TestQuickOrderingProperty(t *testing.T) {
 func TestQuickCancelProperty(t *testing.T) {
 	f := func(n uint8, mask uint64) bool {
 		count := int(n%64) + 1
-		s := New(3)
+		w, s := testClock(3)
 		events := make([]*Event, count)
 		firedCount := 0
 		for i := 0; i < count; i++ {
@@ -318,7 +322,7 @@ func TestQuickCancelProperty(t *testing.T) {
 				cancelled++
 			}
 		}
-		s.Run()
+		w.Run()
 		return firedCount == count-cancelled
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(2))}); err != nil {

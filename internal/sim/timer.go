@@ -10,12 +10,12 @@ import "time"
 // so Reset/Stop never allocate — the retransmission and pacing timers of
 // every subflow run on this path.
 type Timer struct {
-	clock Clock
+	clock *Clock
 	ev    Event
 }
 
 // NewTimer returns a stopped timer that runs fn when it fires.
-func NewTimer(c Clock, name string, fn func()) *Timer {
+func NewTimer(c *Clock, name string, fn func()) *Timer {
 	t := &Timer{clock: c}
 	t.ev = Event{idx: -1, name: name, fn: fn, owned: true}
 	return t
@@ -54,13 +54,13 @@ func (t *Timer) Deadline() Time {
 // stopped, analogous to time.Ticker. Like Timer, it owns and re-arms a
 // single Event, so steady-state ticking does not allocate.
 type Ticker struct {
-	clock  Clock
+	clock  *Clock
 	period time.Duration
 	ev     Event
 }
 
 // NewTicker starts a ticker whose first tick is one period from now.
-func NewTicker(c Clock, period time.Duration, name string, fn func()) *Ticker {
+func NewTicker(c *Clock, period time.Duration, name string, fn func()) *Ticker {
 	if period < 0 {
 		period = 0
 	}

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// World is the sharded simulation driver: N independent event loops
+// World is the simulation driver: N independent event loops
 // (shards), each owning the entities of one or more host groups, advanced
 // in lockstep windows bounded by the conservative lookahead — the smallest
 // propagation delay of any link that crosses shards.
@@ -22,10 +22,11 @@ import (
 // seq) ordering key computed on the sending side. Because that key is a
 // total order derived from build-order entity ordinals — not from shard
 // layout — a World run is bit-identical to a single-shard run of the same
-// seed, at any shard count.
+// seed, at any shard count. A World of one shard is the plain
+// single-threaded simulator.
 type World struct {
 	seed    int64
-	shards  []*Simulator
+	shards  []*eventLoop
 	inMu    []sync.Mutex
 	inbox   [][]crossMsg
 	spare   [][]crossMsg
@@ -38,6 +39,7 @@ type World struct {
 
 	now      Time
 	running  bool
+	inPhase  bool // shard goroutines are executing events
 	buildErr error
 
 	globals globalHeap
@@ -111,7 +113,7 @@ func NewWorld(seed int64, nshards int) *World {
 	}
 	w := &World{
 		seed:       seed,
-		shards:     make([]*Simulator, nshards),
+		shards:     make([]*eventLoop, nshards),
 		inMu:       make([]sync.Mutex, nshards),
 		inbox:      make([][]crossMsg, nshards),
 		spare:      make([][]crossMsg, nshards),
@@ -119,7 +121,7 @@ func NewWorld(seed int64, nshards int) *World {
 		crossSends: make([]uint64, nshards),
 	}
 	for i := range w.shards {
-		w.shards[i] = New(entitySeed(seed, uint64(i)^0xD1B54A32D192ED03))
+		w.shards[i] = &eventLoop{}
 	}
 	return w
 }
@@ -128,8 +130,16 @@ func NewWorld(seed int64, nshards int) *World {
 func (w *World) Shards() int { return len(w.shards) }
 
 // Now reports the committed global horizon: every event at or before it
-// has executed on every shard.
-func (w *World) Now() Time { return w.now }
+// has executed on every shard. Inside a shard event the horizon is only
+// the window start, not the event's time, so Now panics there: read the
+// entity's own Clock instead. Global events and code between runs may
+// call it.
+func (w *World) Now() Time {
+	if w.inPhase {
+		panic("sim: World.Now called from inside a shard event; use the entity's Clock")
+	}
+	return w.now
+}
 
 // Processed counts events executed across all shards plus global events.
 func (w *World) Processed() uint64 {
@@ -144,19 +154,19 @@ func (w *World) Processed() uint64 {
 // distinct groups spread across shards while the assignment stays stable
 // for any N. Clocks must be created while the world is paused (topology
 // build time or between runs).
-func (w *World) HostClock(group int, name string) Clock {
+func (w *World) HostClock(group int, name string) *Clock {
 	n := len(w.shards)
 	shard := ((group % n) + n) % n
 	return w.deriveClock(shard, name)
 }
 
-func (w *World) deriveClock(shard int, name string) *entityClock {
+func (w *World) deriveClock(shard int, name string) *Clock {
 	if w.running {
 		panic("sim: clocks must be created while the world is paused")
 	}
 	w.nextEnt++
 	w.used[shard] = true
-	return &entityClock{
+	return &Clock{
 		w:     w,
 		sh:    w.shards[shard],
 		shard: shard,
@@ -171,10 +181,8 @@ func (w *World) deriveClock(shard int, name string) *entityClock {
 // time; crossings within one shard are ignored. A zero-delay crossing has
 // no lookahead and cannot be simulated conservatively, so it poisons the
 // world and surfaces from Finalize.
-func (w *World) Crossing(name string, from, to Clock, delay time.Duration) {
-	_, fs := from.loop()
-	_, ts := to.loop()
-	if fs == ts {
+func (w *World) Crossing(name string, from, to *Clock, delay time.Duration) {
+	if from.shard == to.shard {
 		return
 	}
 	if delay <= 0 {
@@ -248,6 +256,8 @@ func (w *World) drain(i int) {
 // inclusive), one goroutine per shard. Panics on shard goroutines are
 // captured and re-raised on the controller.
 func (w *World) phase(limit Time, inclusive bool) {
+	w.inPhase = true
+	defer func() { w.inPhase = false }()
 	if len(w.shards) == 1 {
 		w.drain(0)
 		w.shards[0].runWindow(limit, inclusive)
@@ -411,6 +421,22 @@ func (w *World) RunUntil(deadline Time) {
 	}
 }
 
+// Run executes events until nothing is pending: no shard event, no
+// mailbox message and no global event. The clock is left at the time of
+// the last event.
+func (w *World) Run() {
+	for {
+		next := w.nextEventTime()
+		if len(w.globals) > 0 && w.globals[0].when < next {
+			next = w.globals[0].when
+		}
+		if next == maxTime {
+			return
+		}
+		w.RunUntil(next)
+	}
+}
+
 // RunFor advances the world by d.
 func (w *World) RunFor(d time.Duration) {
 	if d < 0 {
@@ -469,7 +495,7 @@ func (w *World) RuntimeStats() RuntimeStats {
 	}
 	for i, sh := range w.shards {
 		st.ShardEvents[i] = sh.processed
-		st.EventPoolGets[i], st.EventPoolPuts[i], st.EventPoolNews[i] = sh.EventPoolStats()
+		st.EventPoolGets[i], st.EventPoolPuts[i], st.EventPoolNews[i] = sh.evGets, sh.evPuts, sh.evNews
 	}
 	if w.waitNs != nil {
 		st.BarrierWaitNs = append([]uint64(nil), w.waitNs...)

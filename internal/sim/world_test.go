@@ -30,13 +30,13 @@ func pingPongTrace(t *testing.T, seed int64, shards int) []string {
 	// Pre-populate the map so shard goroutines only read it; each entity
 	// writes through its own slice pointer.
 	logs := map[string]*[]string{"a": {}, "b": {}, "global": {}}
-	record := func(c Clock, who, what string) {
+	record := func(c *Clock, who, what string) {
 		*logs[who] = append(*logs[who], fmt.Sprintf("%v %s %s r=%d", c.Now(), who, what, c.Rand().Intn(1000)))
 	}
 
 	dropped := false // written only at the global barrier, read by later windows
-	var send func(from, to Clock, fromName, toName string, hop int)
-	send = func(from, to Clock, fromName, toName string, hop int) {
+	var send func(from, to *Clock, fromName, toName string, hop int)
+	send = func(from, to *Clock, fromName, toName string, hop int) {
 		if hop > 20 || dropped {
 			return
 		}
@@ -157,4 +157,66 @@ func TestWorldRejectsClockCreationWhileRunning(t *testing.T) {
 	}()
 	a.Schedule(Time(Millisecond), "bad", func() { a.Derive("nested") })
 	w.RunFor(2 * time.Millisecond)
+}
+
+// TestWorldNowInsideShardEventPanics pins the horizon read guard: inside
+// a shard event World.Now would report the window start, not the event's
+// time, so it panics; a global event sees its own timestamp.
+func TestWorldNowInsideShardEventPanics(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		w := NewWorld(1, n)
+		a := w.HostClock(0, "a")
+		w.HostClock(1, "b")
+		a.Schedule(Time(Millisecond), "read", func() { w.Now() })
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("shards=%d: World.Now inside a shard event did not panic", n)
+				}
+			}()
+			w.RunFor(2 * time.Millisecond)
+		}()
+
+		w = NewWorld(1, n)
+		w.HostClock(0, "a")
+		w.HostClock(1, "b")
+		var seen Time = -1
+		w.ScheduleGlobal(Time(3*Millisecond), "read", func() { seen = w.Now() })
+		w.RunFor(5 * time.Millisecond)
+		if seen != Time(3*Millisecond) {
+			t.Fatalf("shards=%d: global read Now = %v, want 3ms", n, seen)
+		}
+		if w.Now() != Time(5*Millisecond) {
+			t.Fatalf("shards=%d: Now between runs = %v, want 5ms", n, w.Now())
+		}
+	}
+}
+
+// TestWorldRunDrainsEverything checks Run executes until no shard event,
+// mailbox message or global event is left — including work a global
+// schedules — and parks the clock at the last event.
+func TestWorldRunDrainsEverything(t *testing.T) {
+	for _, n := range []int{1, 2, 4} {
+		w := NewWorld(5, n)
+		a := w.HostClock(0, "a")
+		b := w.HostClock(1, "b")
+		w.Crossing("ab", a, b, time.Millisecond)
+		var gotA, gotB []Time
+		a.Schedule(Time(Millisecond), "ea", func() { gotA = append(gotA, a.Now()) })
+		// Posted before the run: sits in b's mailbox on a sharded world.
+		a.SendTo(b, Time(4*Millisecond), "msg", func(any) { gotB = append(gotB, b.Now()) }, nil)
+		w.ScheduleGlobal(Time(7*Millisecond), "g", func() {
+			b.Schedule(Time(9*Millisecond), "late", func() { gotB = append(gotB, b.Now()) })
+		})
+		w.Run()
+		if fmt.Sprint(gotA, gotB) != "[1ms] [4ms 9ms]" {
+			t.Fatalf("shards=%d: fired a=%v b=%v, want [1ms] [4ms 9ms]", n, gotA, gotB)
+		}
+		if w.Now() != Time(9*Millisecond) {
+			t.Fatalf("shards=%d: Now after Run = %v, want 9ms", n, w.Now())
+		}
+		if w.Processed() != 4 {
+			t.Fatalf("shards=%d: processed %d events, want 4", n, w.Processed())
+		}
+	}
 }

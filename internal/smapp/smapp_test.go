@@ -16,16 +16,18 @@ import (
 // rig is a two-path world with a smapp stack on the client and a plain
 // endpoint on the server.
 type rig struct {
+	sim *sim.World
 	net *topo.TwoPath
 	st  *Stack
 	sep *mptcp.Endpoint
 }
 
 func newRig(seed int64, link netem.LinkConfig, cfg Config) *rig {
-	r := &rig{net: topo.NewTwoPath(sim.New(seed), link, link)}
+	w := sim.NewWorld(seed, 1)
+	r := &rig{sim: w, net: topo.NewTwoPath(w, link, link)}
 	r.st = New(r.net.Client, cfg)
 	r.sep = mptcp.NewEndpoint(r.net.Server, mptcp.Config{}, nil)
-	r.net.Sim.RunFor(time.Millisecond)
+	r.sim.RunFor(time.Millisecond)
 	return r
 }
 
@@ -38,7 +40,7 @@ func TestDialBindsPolicyPerConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.net.Sim.Run()
+	r.sim.Run()
 	if got := len(conn.Subflows()); got != 2 {
 		t.Fatalf("fullmesh policy built %d subflows, want 2", got)
 	}
@@ -64,7 +66,7 @@ func TestDialDefaultsAddrsFromHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.net.Sim.Run()
+	r.sim.Run()
 	addrs := map[string]bool{}
 	for _, sf := range conn.Subflows() {
 		addrs[sf.Tuple().SrcIP.String()] = true
@@ -111,7 +113,8 @@ func TestListenBindsPolicyPerAcceptedConnection(t *testing.T) {
 	// before the accept callback can bind — the stack must buffer and
 	// replay it.
 	p := netem.LinkConfig{RateBps: 50e6, Delay: 5 * time.Millisecond}
-	net := topo.NewTwoPath(sim.New(5), p, p)
+	w := sim.NewWorld(5, 1)
+	net := topo.NewTwoPath(w, p, p)
 	sst := New(net.Server, Config{})
 	cep := mptcp.NewEndpoint(net.Client, mptcp.Config{}, nil)
 	var server *mptcp.Connection
@@ -119,11 +122,11 @@ func TestListenBindsPolicyPerAcceptedConnection(t *testing.T) {
 		func(c *mptcp.Connection) { server = c }); err != nil {
 		t.Fatal(err)
 	}
-	net.Sim.RunFor(time.Millisecond)
+	w.RunFor(time.Millisecond)
 	if _, err := cep.Connect(net.ClientAddrs[0], net.ServerAddr, 80, mptcp.ConnCallbacks{}); err != nil {
 		t.Fatal(err)
 	}
-	net.Sim.Run()
+	w.Run()
 	if server == nil {
 		t.Fatal("no connection accepted")
 	}
@@ -155,9 +158,9 @@ func TestSwitchPolicyMidTransfer(t *testing.T) {
 	const total = 10 << 20
 	p := netem.LinkConfig{RateBps: 8e6, Delay: 15 * time.Millisecond}
 	r := newRig(7, p, Config{})
-	sink := app.NewSink(r.net.Sim, total, nil)
+	sink := app.NewSink(r.net.Server.Clock(), total, nil)
 	r.sep.Listen(80, func(c *mptcp.Connection) { c.SetCallbacks(sink.Callbacks()) })
-	src := app.NewSource(r.net.Sim, total, false)
+	src := app.NewSource(r.net.Client.Clock(), total, false)
 	conn, err := r.st.Dial(r.net.ClientAddrs[0], r.net.ServerAddr, 80,
 		"fullmesh", ControllerConfig{}, src.Callbacks())
 	if err != nil {
@@ -165,7 +168,7 @@ func TestSwitchPolicyMidTransfer(t *testing.T) {
 	}
 
 	// Phase 1: fullmesh builds the two-subflow mesh.
-	r.net.Sim.RunUntil(sim.Second)
+	r.sim.RunUntil(sim.Second)
 	if got := len(conn.Subflows()); got != 2 {
 		t.Fatalf("mesh = %d subflows before the switch, want 2", got)
 	}
@@ -188,7 +191,7 @@ func TestSwitchPolicyMidTransfer(t *testing.T) {
 	}
 	// The detached fullmesh must NOT re-establish the killed subflow
 	// (its retry timer was 1 s; give it 3).
-	r.net.Sim.RunUntil(4 * sim.Second)
+	r.sim.RunUntil(4 * sim.Second)
 	if got := len(conn.Subflows()); got != 1 {
 		t.Fatalf("detached fullmesh still acting: %d subflows", got)
 	}
@@ -199,7 +202,7 @@ func TestSwitchPolicyMidTransfer(t *testing.T) {
 	// Phase 3: the primary degrades; the NEW policy must do the
 	// break-before-make switch within seconds.
 	r.net.Path[0].SetLoss(0.9)
-	r.net.Sim.RunUntil(60 * sim.Second)
+	r.sim.RunUntil(60 * sim.Second)
 
 	bctl := r.st.Controller(conn).(*controller.Backup)
 	if bctl.Stats.Switches != 1 {
@@ -238,7 +241,7 @@ func TestSwitchPolicyToNilDetaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.net.Sim.Run()
+	r.sim.Run()
 	if err := r.st.SwitchPolicy(conn, "", ControllerConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +250,7 @@ func TestSwitchPolicyToNilDetaches(t *testing.T) {
 	}
 	// Kill a subflow: with no policy bound, nobody rebuilds it.
 	conn.CloseSubflow(conn.Subflows()[1], true)
-	r.net.Sim.RunFor(5 * time.Second)
+	r.sim.RunFor(5 * time.Second)
 	if got := len(conn.Subflows()); got != 1 {
 		t.Fatalf("subflows = %d after nil-policy switch, want 1", got)
 	}
@@ -256,15 +259,15 @@ func TestSwitchPolicyToNilDetaches(t *testing.T) {
 func TestInfoMergesAppAndWireViews(t *testing.T) {
 	p := netem.LinkConfig{RateBps: 50e6, Delay: 10 * time.Millisecond}
 	r := newRig(9, p, Config{})
-	sink := app.NewSink(r.net.Sim, 1<<20, nil)
+	sink := app.NewSink(r.net.Server.Clock(), 1<<20, nil)
 	r.sep.Listen(80, func(c *mptcp.Connection) { c.SetCallbacks(sink.Callbacks()) })
-	src := app.NewSource(r.net.Sim, 1<<20, false)
+	src := app.NewSource(r.net.Client.Clock(), 1<<20, false)
 	conn, err := r.st.Dial(r.net.ClientAddrs[0], r.net.ServerAddr, 80,
 		"fullmesh", ControllerConfig{}, src.Callbacks())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.net.Sim.RunUntil(5 * sim.Second)
+	r.sim.RunUntil(5 * sim.Second)
 
 	info := r.st.Info(conn)
 	if info.Policy != "fullmesh" {
@@ -293,11 +296,11 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() (uint64, uint64) {
 		p := netem.LinkConfig{RateBps: 20e6, Delay: 10 * time.Millisecond}
 		r := newRig(42, p, Config{})
-		sink := app.NewSink(r.net.Sim, 4<<20, nil)
+		sink := app.NewSink(r.net.Server.Clock(), 4<<20, nil)
 		r.sep.Listen(80, func(c *mptcp.Connection) { c.SetCallbacks(sink.Callbacks()) })
 		var conns []*mptcp.Connection
 		for i := 0; i < 3; i++ {
-			src := app.NewSource(r.net.Sim, 1<<20, false)
+			src := app.NewSource(r.net.Client.Clock(), 1<<20, false)
 			c, err := r.st.Dial(r.net.ClientAddrs[0], r.net.ServerAddr, 80,
 				"fullmesh", ControllerConfig{}, src.Callbacks())
 			if err != nil {
@@ -306,13 +309,13 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 			conns = append(conns, c)
 		}
 		// An interface flap fans local-addr events out to every binding.
-		r.net.Sim.Schedule(sim.Second, "flap", func() {
+		r.sim.ScheduleGlobal(sim.Second, "flap", func() {
 			r.net.Client.SetIfaceUp(r.net.ClientAddrs[1], false)
 		})
-		r.net.Sim.Schedule(2*sim.Second, "unflap", func() {
+		r.sim.ScheduleGlobal(2*sim.Second, "unflap", func() {
 			r.net.Client.SetIfaceUp(r.net.ClientAddrs[1], true)
 		})
-		r.net.Sim.RunUntil(20 * sim.Second)
+		r.sim.RunUntil(20 * sim.Second)
 		var pushed uint64
 		for _, c := range conns {
 			pushed += c.Stats().ChunksPushed

@@ -7,7 +7,7 @@
 // estimate recent Linux kernels expose (the signal §4.4's refresh
 // controller polls).
 //
-// The engine is event driven on a sim.Simulator virtual clock and emits
+// The engine is event driven on a sim.Clock virtual clock and emits
 // segments through an Output; it never blocks.
 package tcp
 

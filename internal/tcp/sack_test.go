@@ -14,7 +14,7 @@ import (
 func TestSACKRepairsBurstWithoutRTO(t *testing.T) {
 	p := newPair(t, 30, 10*time.Millisecond, Config{MSS: 1000})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	dropped := 0
 	arm := false
 	p.dropAtoB = func(s *seg.Segment) bool {
@@ -25,9 +25,9 @@ func TestSACKRepairsBurstWithoutRTO(t *testing.T) {
 		return false
 	}
 	push(p.a, 0, 100_000)
-	p.s.RunFor(25 * time.Millisecond) // let some data land first
+	p.w.RunFor(25 * time.Millisecond) // let some data land first
 	arm = true
-	p.s.Run()
+	p.w.Run()
 	if p.ob.newBytes != 100_000 {
 		t.Fatalf("receiver got %d", p.ob.newBytes)
 	}
@@ -48,9 +48,9 @@ func TestSACKRepairsBurstWithoutRTO(t *testing.T) {
 func TestSACKNoSpuriousRetransmits(t *testing.T) {
 	p := newPair(t, 31, 25*time.Millisecond, Config{})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	push(p.a, 0, 2_000_000)
-	p.s.Run()
+	p.w.Run()
 	st := p.a.Info().Stats
 	if st.BytesRetrans != 0 || st.FastRetrans != 0 || st.Timeouts != 0 {
 		t.Fatalf("spurious recovery on clean path: %+v", st)
@@ -62,9 +62,9 @@ func TestSACKNoSpuriousRetransmits(t *testing.T) {
 func TestSACKSingleHalvingPerEpisode(t *testing.T) {
 	p := newPair(t, 32, 10*time.Millisecond, Config{MSS: 1000})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	push(p.a, 0, 80_000) // one initial window's worth of growth
-	p.s.Run()
+	p.w.Run()
 	dropN := 0
 	p.dropAtoB = func(s *seg.Segment) bool {
 		if s.PayloadLen > 0 && dropN < 3 {
@@ -74,7 +74,7 @@ func TestSACKSingleHalvingPerEpisode(t *testing.T) {
 		return false
 	}
 	push(p.a, 80_000, 80_000)
-	p.s.Run()
+	p.w.Run()
 	if p.ob.newBytes != 160_000 {
 		t.Fatalf("got %d", p.ob.newBytes)
 	}
@@ -88,7 +88,7 @@ func TestSACKSingleHalvingPerEpisode(t *testing.T) {
 func TestSACKOptionOnWire(t *testing.T) {
 	p := newPair(t, 33, 10*time.Millisecond, Config{MSS: 1000})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	first := true
 	p.dropAtoB = func(s *seg.Segment) bool {
 		if s.PayloadLen > 0 && first {
@@ -108,7 +108,7 @@ func TestSACKOptionOnWire(t *testing.T) {
 		return false
 	}
 	push(p.a, 0, 50_000)
-	p.s.Run()
+	p.w.Run()
 	if !sawSACK {
 		t.Fatal("no SACK blocks on the wire despite a hole")
 	}
@@ -126,9 +126,9 @@ func TestPacingSpacesTransmissions(t *testing.T) {
 		return false
 	}
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	push(p.a, 0, 1_000_000)
-	p.s.Run()
+	p.w.Run()
 	if p.ob.newBytes != 1_000_000 {
 		t.Fatalf("got %d", p.ob.newBytes)
 	}
@@ -155,9 +155,9 @@ func TestNoPacingAblation(t *testing.T) {
 		return false
 	}
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	push(p.a, 0, 20_000)
-	p.s.Run()
+	p.w.Run()
 	if len(times) < 20 {
 		t.Fatalf("sent %d segments", len(times))
 	}
@@ -173,12 +173,12 @@ func TestNoPacingAblation(t *testing.T) {
 func TestPeerWindowLimitsSender(t *testing.T) {
 	p := newPair(t, 36, 10*time.Millisecond, Config{MSS: 1000, RcvWnd: 4096})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	push(p.a, 0, 100_000)
 	if f := p.a.Flight(); f > 4096 {
 		t.Fatalf("flight %d exceeds the peer's 4096-byte window", f)
 	}
-	p.s.Run()
+	p.w.Run()
 	if p.ob.newBytes != 100_000 {
 		t.Fatalf("got %d", p.ob.newBytes)
 	}
@@ -190,7 +190,7 @@ func TestPeerWindowLimitsSender(t *testing.T) {
 func TestRTOFiresDespiteContinuousSending(t *testing.T) {
 	p := newPair(t, 37, 10*time.Millisecond, Config{MSS: 1000})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	// Drop the first data segment AND its retransmission; everything else
 	// passes. Recovery then requires the RTO path.
 	headDrops := 0
@@ -211,7 +211,7 @@ func TestRTOFiresDespiteContinuousSending(t *testing.T) {
 		return false
 	}
 	push(p.a, 0, 200_000)
-	p.s.Run()
+	p.w.Run()
 	if p.ob.newBytes != 200_000 {
 		t.Fatalf("got %d", p.ob.newBytes)
 	}

@@ -18,12 +18,12 @@ type StubState struct {
 
 // NewStubSubflow returns a detached subflow whose scheduler-visible
 // accessors (Established, Backup, SRTT, AvailableCwnd) report exactly st
-// and never change. It is wired to a throwaway simulator and no owner, so
-// only those read-only accessors are meaningful — scheduler unit tests
-// use it to pin subflow states that are awkward to reach through a real
-// handshake (see internal/mptcp's scheduler tests).
+// and never change. It is wired to a throwaway one-shard world and no
+// owner, so only those read-only accessors are meaningful — scheduler
+// unit tests use it to pin subflow states that are awkward to reach
+// through a real handshake (see internal/mptcp's scheduler tests).
 func NewStubSubflow(st StubState) *Subflow {
-	sf := NewSubflow(sim.New(0), Config{
+	sf := NewSubflow(sim.NewWorld(0, 1).HostClock(0, "stub"), Config{
 		// A congestion window far above any test's peer window, so
 		// st.Window is the binding term of AvailableCwnd.
 		InitialWindow: 1 << 20,

@@ -152,7 +152,7 @@ type Stats struct {
 
 // Subflow is one TCP subflow of a Multipath TCP connection.
 type Subflow struct {
-	sim    sim.Clock
+	sim    *sim.Clock
 	cfg    Config
 	out    Output
 	owner  Owner
@@ -209,7 +209,7 @@ type Subflow struct {
 // NewSubflow creates a subflow bound to tuple. It starts closed; call
 // Connect for the active side or HandleSegment with the peer's SYN for the
 // passive side.
-func NewSubflow(c sim.Clock, cfg Config, tuple seg.FourTuple, out Output, owner Owner) *Subflow {
+func NewSubflow(c *sim.Clock, cfg Config, tuple seg.FourTuple, out Output, owner Owner) *Subflow {
 	cfg = cfg.withDefaults()
 	sf := &Subflow{
 		sim:     c,

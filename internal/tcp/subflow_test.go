@@ -57,7 +57,8 @@ func (o *mockOwner) OnClosed(sf *Subflow, reason Errno) {
 
 // pair wires two subflows through a fixed-delay lossy pipe.
 type pair struct {
-	s        *sim.Simulator
+	w        *sim.World
+	s        *sim.Clock // both subflows and the wire share one clock
 	a, b     *Subflow
 	oa, ob   *mockOwner
 	delay    time.Duration
@@ -67,7 +68,8 @@ type pair struct {
 
 func newPair(t *testing.T, seed int64, delay time.Duration, cfg Config) *pair {
 	t.Helper()
-	p := &pair{s: sim.New(seed), delay: delay, oa: &mockOwner{}, ob: &mockOwner{}}
+	w := sim.NewWorld(seed, 1)
+	p := &pair{w: w, s: w.HostClock(0, "pair"), delay: delay, oa: &mockOwner{}, ob: &mockOwner{}}
 	tup := seg.FourTuple{
 		SrcIP: netip.MustParseAddr("10.0.0.1"), DstIP: netip.MustParseAddr("10.0.1.1"),
 		SrcPort: 40000, DstPort: 80,
@@ -95,7 +97,7 @@ func TestHandshake(t *testing.T) {
 	if p.a.SynSentAt() != 0 {
 		t.Fatalf("SynSentAt = %v", p.a.SynSentAt())
 	}
-	p.s.Run()
+	p.w.Run()
 	if p.oa.established != 1 || p.ob.established != 1 {
 		t.Fatalf("established a=%d b=%d, want 1/1", p.oa.established, p.ob.established)
 	}
@@ -122,7 +124,7 @@ func TestHandshakeSynLoss(t *testing.T) {
 		return false
 	}
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	if p.oa.established != 1 || p.ob.established != 1 {
 		t.Fatal("handshake did not recover from SYN loss")
 	}
@@ -136,7 +138,7 @@ func TestHandshakeRefusedByOwner(t *testing.T) {
 	p := newPair(t, 3, time.Millisecond, Config{})
 	p.ob.reject = map[Stage]bool{StageSYN: true}
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	if !p.oa.closed || p.oa.closeReason != ECONNREFUSED {
 		t.Fatalf("client close = %v/%v, want refused", p.oa.closed, p.oa.closeReason)
 	}
@@ -149,7 +151,7 @@ func TestHandshakeSynRetriesExhausted(t *testing.T) {
 	p := newPair(t, 4, time.Millisecond, Config{SynRetries: 3})
 	p.dropAtoB = func(s *seg.Segment) bool { return true }
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	if !p.oa.closed || p.oa.closeReason != ETIMEDOUT {
 		t.Fatalf("reason = %v, want ETIMEDOUT", p.oa.closeReason)
 	}
@@ -176,10 +178,10 @@ func push(sf *Subflow, dataSeq uint64, n int) uint64 {
 func TestBulkTransfer(t *testing.T) {
 	p := newPair(t, 5, 10*time.Millisecond, Config{})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	const total = 200_000
 	push(p.a, 0, total)
-	p.s.Run()
+	p.w.Run()
 	if p.ob.newBytes != total {
 		t.Fatalf("receiver got %d bytes, want %d", p.ob.newBytes, total)
 	}
@@ -201,13 +203,13 @@ func TestBulkTransfer(t *testing.T) {
 func TestCwndLimitsFlight(t *testing.T) {
 	p := newPair(t, 6, 50*time.Millisecond, Config{InitialWindow: 2, MSS: 1000})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	push(p.a, 0, 50_000)
 	// Immediately after pushing, flight must respect the 2-segment window.
 	if f := p.a.Flight(); f > 2000 {
 		t.Fatalf("flight = %d exceeds initial cwnd", f)
 	}
-	p.s.Run()
+	p.w.Run()
 	if p.ob.newBytes != 50_000 {
 		t.Fatalf("got %d", p.ob.newBytes)
 	}
@@ -216,7 +218,7 @@ func TestCwndLimitsFlight(t *testing.T) {
 func TestFastRetransmit(t *testing.T) {
 	p := newPair(t, 7, 10*time.Millisecond, Config{})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	// Drop exactly one data segment, early in the stream.
 	droppedSeq := uint32(0)
 	p.dropAtoB = func(s *seg.Segment) bool {
@@ -227,7 +229,7 @@ func TestFastRetransmit(t *testing.T) {
 		return false
 	}
 	push(p.a, 0, 100_000)
-	p.s.Run()
+	p.w.Run()
 	if p.ob.newBytes != 100_000 {
 		t.Fatalf("receiver got %d, want all data", p.ob.newBytes)
 	}
@@ -243,12 +245,12 @@ func TestFastRetransmit(t *testing.T) {
 func TestRTOAndBackoffDoubling(t *testing.T) {
 	p := newPair(t, 8, 10*time.Millisecond, Config{})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	// Black-hole the forward path after the handshake.
 	blackhole := true
 	p.dropAtoB = func(s *seg.Segment) bool { return blackhole }
 	push(p.a, 0, 5000)
-	p.s.RunFor(10 * time.Second)
+	p.w.RunFor(10 * time.Second)
 	if len(p.oa.timeouts) < 3 {
 		t.Fatalf("only %d timeout events in 10s", len(p.oa.timeouts))
 	}
@@ -263,7 +265,7 @@ func TestRTOAndBackoffDoubling(t *testing.T) {
 	}
 	// Heal the path: transfer completes and backoff resets.
 	blackhole = false
-	p.s.Run()
+	p.w.Run()
 	if p.ob.newBytes != 5000 {
 		t.Fatalf("got %d after heal", p.ob.newBytes)
 	}
@@ -275,10 +277,10 @@ func TestRTOAndBackoffDoubling(t *testing.T) {
 func TestSubflowDeathAfterMaxBackoffs(t *testing.T) {
 	p := newPair(t, 9, 10*time.Millisecond, Config{MaxBackoffs: 4})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	p.dropAtoB = func(s *seg.Segment) bool { return true }
 	push(p.a, 0, 2000)
-	p.s.Run()
+	p.w.Run()
 	if !p.oa.closed || p.oa.closeReason != ETIMEDOUT {
 		t.Fatalf("closed=%v reason=%v, want ETIMEDOUT", p.oa.closed, p.oa.closeReason)
 	}
@@ -290,9 +292,9 @@ func TestSubflowDeathAfterMaxBackoffs(t *testing.T) {
 func TestAbortSendsRST(t *testing.T) {
 	p := newPair(t, 10, 5*time.Millisecond, Config{})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	p.a.Abort(ECONNABORTED)
-	p.s.Run()
+	p.w.Run()
 	if p.oa.closeReason != ECONNABORTED {
 		t.Fatalf("local reason = %v", p.oa.closeReason)
 	}
@@ -304,16 +306,16 @@ func TestAbortSendsRST(t *testing.T) {
 func TestGracefulClose(t *testing.T) {
 	p := newPair(t, 11, 5*time.Millisecond, Config{})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	push(p.a, 0, 10_000)
 	p.a.Close()
-	p.s.Run()
+	p.w.Run()
 	if p.ob.newBytes != 10_000 {
 		t.Fatal("data lost across close")
 	}
 	// Peer closes too once it has seen the FIN.
 	p.b.Close()
-	p.s.Run()
+	p.w.Run()
 	if !p.oa.closed || p.oa.closeReason != Ok {
 		t.Fatalf("a close reason = %v/%v", p.oa.closed, p.oa.closeReason)
 	}
@@ -325,10 +327,10 @@ func TestGracefulClose(t *testing.T) {
 func TestCloseDrainsQueueFirst(t *testing.T) {
 	p := newPair(t, 12, 5*time.Millisecond, Config{InitialWindow: 2, MSS: 1000})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	push(p.a, 0, 20_000) // much more than the initial window
 	p.a.Close()
-	p.s.Run()
+	p.w.Run()
 	if p.ob.newBytes != 20_000 {
 		t.Fatalf("close truncated the stream: %d", p.ob.newBytes)
 	}
@@ -339,7 +341,7 @@ func TestTimeoutEventExposesCurrentRTO(t *testing.T) {
 	// threshold; verify reported values grow past 1s under sustained loss.
 	p := newPair(t, 13, 10*time.Millisecond, Config{})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	p.dropAtoB = func(s *seg.Segment) bool { return true }
 	push(p.a, 0, 3000)
 	var crossed sim.Time
@@ -348,7 +350,7 @@ func TestTimeoutEventExposesCurrentRTO(t *testing.T) {
 			crossed = p.s.Now()
 		}
 	}
-	p.s.RunFor(20 * time.Second)
+	p.w.RunFor(20 * time.Second)
 	if crossed == 0 {
 		t.Fatal("RTO never crossed 1s under black-hole loss")
 	}
@@ -362,7 +364,7 @@ func TestDataAckCarriedOnSegments(t *testing.T) {
 	p.ob.hasDataAck = true
 	p.ob.dataAck = 777
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	var sawDataAck bool
 	p.dropBtoA = func(s *seg.Segment) bool {
 		if d := s.DSS(); d != nil && d.HasDataAck && d.DataAck == 777 {
@@ -371,7 +373,7 @@ func TestDataAckCarriedOnSegments(t *testing.T) {
 		return false
 	}
 	push(p.a, 0, 5000)
-	p.s.Run()
+	p.w.Run()
 	if !sawDataAck {
 		t.Fatal("receiver ACKs never carried the owner's DATA_ACK")
 	}
@@ -380,7 +382,7 @@ func TestDataAckCarriedOnSegments(t *testing.T) {
 func TestDSSMappingOnWire(t *testing.T) {
 	p := newPair(t, 15, 5*time.Millisecond, Config{MSS: 1000})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	maps := map[uint64]uint16{}
 	p.dropAtoB = func(s *seg.Segment) bool {
 		if d := s.DSS(); d != nil && d.HasMap {
@@ -389,7 +391,7 @@ func TestDSSMappingOnWire(t *testing.T) {
 		return false
 	}
 	push(p.a, 5000, 2500)
-	p.s.Run()
+	p.w.Run()
 	if maps[5000] != 1000 || maps[6000] != 1000 || maps[7000] != 500 {
 		t.Fatalf("DSS mappings = %v", maps)
 	}
@@ -401,7 +403,7 @@ func TestPacingRateTracksThroughput(t *testing.T) {
 		t.Fatal("pacing rate nonzero before any RTT sample")
 	}
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	// The SYN/SYN+ACK exchange provides the first RTT sample (≈40 ms).
 	if srtt := p.a.SRTT(); srtt < 39*time.Millisecond || srtt > 45*time.Millisecond {
 		t.Fatalf("handshake RTT sample = %v, want ≈40ms", srtt)
@@ -410,7 +412,7 @@ func TestPacingRateTracksThroughput(t *testing.T) {
 		t.Fatal("pacing rate zero after handshake sample")
 	}
 	push(p.a, 0, 500_000)
-	p.s.Run()
+	p.w.Run()
 	// cwnd grew across the transfer; pacing rate must reflect cwnd/srtt.
 	info := p.a.Info()
 	wantMin := float64(info.Cwnd) / info.SRTT.Seconds()
@@ -422,9 +424,9 @@ func TestPacingRateTracksThroughput(t *testing.T) {
 func TestInfoSnapshot(t *testing.T) {
 	p := newPair(t, 17, 5*time.Millisecond, Config{})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	push(p.a, 0, 10_000)
-	p.s.Run()
+	p.w.Run()
 	in := p.a.Info()
 	if in.State != StateEstablished {
 		t.Fatalf("state %v", in.State)
@@ -452,7 +454,7 @@ func TestReorderingToleratedWithoutRetransmit(t *testing.T) {
 	// threshold must absorb a single reordering without spurious loss.
 	p := newPair(t, 18, 10*time.Millisecond, Config{})
 	p.a.Connect()
-	p.s.Run()
+	p.w.Run()
 	var held *seg.Segment
 	swapped := false
 	p.dropAtoB = func(s *seg.Segment) bool {
@@ -470,7 +472,7 @@ func TestReorderingToleratedWithoutRetransmit(t *testing.T) {
 		return false
 	}
 	push(p.a, 0, 50_000)
-	p.s.Run()
+	p.w.Run()
 	if p.ob.newBytes != 50_000 {
 		t.Fatalf("got %d", p.ob.newBytes)
 	}

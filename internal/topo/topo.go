@@ -21,15 +21,6 @@ var (
 	ServerAddr  = netip.MustParseAddr("10.99.0.1")
 )
 
-// bareSim reports the fabric as a *sim.Simulator when it is one, so the
-// topology structs can keep their convenience Sim field for direct
-// single-loop construction (tests, examples). Under a sharded sim.World
-// the field is nil and callers drive the world instead.
-func bareSim(f sim.Fabric) *sim.Simulator {
-	s, _ := f.(*sim.Simulator)
-	return s
-}
-
 // TwoPath is a multihomed client reaching a server over two independent
 // paths (the smartphone WiFi+cellular scenario):
 //
@@ -37,7 +28,6 @@ func bareSim(f sim.Fabric) *sim.Simulator {
 //	                        ├── router ── trunk ── server
 //	client if2 ── path[1] ──┘
 type TwoPath struct {
-	Sim    *sim.Simulator
 	Client *netem.Host
 	Server *netem.Host
 	Router *netem.Router
@@ -54,11 +44,9 @@ type TwoPath struct {
 //
 // The client lives in host group 1 and the router/server side in group 0,
 // so a sharded world splits the topology at the access paths (whose
-// propagation delays bound the lookahead). Passing a bare *sim.Simulator
-// keeps everything on one loop, as before.
+// propagation delays bound the lookahead).
 func NewTwoPath(f sim.Fabric, p0, p1 netem.LinkConfig) *TwoPath {
 	t := &TwoPath{
-		Sim:         bareSim(f),
 		Client:      netem.NewHost(f.HostClock(1, "client"), "client"),
 		Server:      netem.NewHost(f.HostClock(0, "server"), "server"),
 		ClientAddrs: [2]netip.Addr{ClientAddr1, ClientAddr2},
@@ -85,7 +73,6 @@ func NewTwoPath(f sim.Fabric, p0, p1 netem.LinkConfig) *TwoPath {
 //
 //	client ── access ── R1 ══ paths[0..n-1] ══ R2 ── access ── server
 type ECMP struct {
-	Sim    *sim.Simulator
 	Client *netem.Host
 	Server *netem.Host
 	R1, R2 *netem.Router
@@ -103,7 +90,6 @@ type ECMP struct {
 // unpredictable per-router hashing of real networks.
 func NewECMP(f sim.Fabric, paths []netem.LinkConfig, hashSeed uint64) *ECMP {
 	t := &ECMP{
-		Sim:        bareSim(f),
 		Client:     netem.NewHost(f.HostClock(1, "client"), "client"),
 		Server:     netem.NewHost(f.HostClock(0, "server"), "server"),
 		ClientAddr: ClientAddr1,
@@ -143,7 +129,6 @@ func (t *ECMP) PathIndexOf(srcPort, dstPort uint16) int {
 
 // Direct is the §4.5 lab setup: two hosts on one duplex link.
 type Direct struct {
-	Sim    *sim.Simulator
 	Client *netem.Host
 	Server *netem.Host
 	Link   *netem.Duplex
@@ -157,7 +142,6 @@ type Direct struct {
 // the wire has a propagation delay).
 func NewDirect(f sim.Fabric, cfg netem.LinkConfig) *Direct {
 	t := &Direct{
-		Sim:        bareSim(f),
 		Client:     netem.NewHost(f.HostClock(0, "client"), "client"),
 		Server:     netem.NewHost(f.HostClock(1, "server"), "server"),
 		ClientAddr: ClientAddr1,
@@ -176,7 +160,6 @@ func NewDirect(f sim.Fabric, cfg netem.LinkConfig) *Direct {
 //	                        ├── NAT ── trunk ── server
 //	client if1 ── path[1] ──┘
 type NATPath struct {
-	Sim    *sim.Simulator
 	Client *netem.Host
 	Server *netem.Host
 	NAT    *netem.Middlebox
@@ -191,7 +174,6 @@ type NATPath struct {
 // policy.
 func NewNATPath(f sim.Fabric, p0, p1 netem.LinkConfig, idle time.Duration, policy netem.ExpiryPolicy) *NATPath {
 	t := &NATPath{
-		Sim:         bareSim(f),
 		Client:      netem.NewHost(f.HostClock(1, "client"), "client"),
 		Server:      netem.NewHost(f.HostClock(0, "server"), "server"),
 		ClientAddrs: [2]netip.Addr{ClientAddr1, ClientAddr2},

@@ -23,7 +23,7 @@ func pkt(src, dst seg.FourTuple) *netem.Packet {
 }
 
 func TestTwoPathConnectivity(t *testing.T) {
-	s := sim.New(1)
+	s := sim.NewWorld(1, 1)
 	cfg := netem.LinkConfig{RateBps: 10e6, Delay: 5 * time.Millisecond}
 	n := NewTwoPath(s, cfg, cfg)
 	var clientGot, serverGot int
@@ -56,7 +56,7 @@ func TestTwoPathConnectivity(t *testing.T) {
 }
 
 func TestECMPSymmetryAndCoverage(t *testing.T) {
-	s := sim.New(2)
+	s := sim.NewWorld(2, 1)
 	var cfgs []netem.LinkConfig
 	for i := 0; i < 4; i++ {
 		cfgs = append(cfgs, netem.LinkConfig{RateBps: 8e6, Delay: 10 * time.Millisecond})
@@ -71,7 +71,7 @@ func TestECMPSymmetryAndCoverage(t *testing.T) {
 	for port := uint16(10000); port < 10200; port++ {
 		fwd := seg.FourTuple{SrcIP: n.ClientAddr, DstIP: n.ServerAddr, SrcPort: port, DstPort: 80}
 		// Spaced out so bursts do not overflow the access-link queue.
-		s.Schedule(sim.Time(port-10000)*sim.Millisecond, "inject", func() {
+		s.ScheduleGlobal(sim.Time(port-10000)*sim.Millisecond, "inject", func() {
 			n.Client.Send(netem.NewPacket(&seg.Segment{Tuple: fwd, Flags: seg.ACK, PayloadLen: 10}))
 			n.Server.Send(netem.NewPacket(&seg.Segment{Tuple: fwd.Reverse(), Flags: seg.ACK, PayloadLen: 10}))
 		})
@@ -103,10 +103,10 @@ func TestECMPSymmetryAndCoverage(t *testing.T) {
 }
 
 func TestDirectLatency(t *testing.T) {
-	s := sim.New(3)
+	s := sim.NewWorld(3, 1)
 	n := NewDirect(s, netem.LinkConfig{RateBps: 1e9, Delay: 20 * time.Microsecond})
 	var at sim.Time
-	n.Server.SetHandler(func(*netem.Packet) { at = s.Now() })
+	n.Server.SetHandler(func(*netem.Packet) { at = n.Server.Clock().Now() })
 	n.Client.Send(netem.NewPacket(&seg.Segment{
 		Tuple: seg.FourTuple{SrcIP: n.ClientAddr, DstIP: n.ServerAddr, SrcPort: 1, DstPort: 2},
 		Flags: seg.ACK,
@@ -119,7 +119,7 @@ func TestDirectLatency(t *testing.T) {
 }
 
 func TestNATPathEnforcesTimeout(t *testing.T) {
-	s := sim.New(4)
+	s := sim.NewWorld(4, 1)
 	cfg := netem.LinkConfig{RateBps: 10e6, Delay: 5 * time.Millisecond}
 	n := NewNATPath(s, cfg, cfg, 100*time.Second, netem.ExpiryDrop)
 	got := 0
