@@ -76,9 +76,11 @@ fmt:
 # Run EVERY registered scenario end to end with -smoke (reduced
 # durations/sizes/seeds); any non-zero exit fails. The list is taken from
 # the scenario registry itself, so a newly registered scenario is smoked
-# automatically — no Makefile edit needed. The last step exercises the
-# tracing pipeline end to end: record a traced fig2a run and analyse it
-# with `mpexp report` (text, JSON, and CSV exports all must succeed).
+# automatically — no Makefile edit needed. The sized fleet cell greps its
+# report header, so -smoke can never again silently override an explicit
+# -set. The last step exercises the tracing pipeline end to end: record a
+# traced fig2a run and analyse it with `mpexp report` (text, JSON, and CSV
+# exports all must succeed).
 smoke:
 	@set -e; \
 	bin=$$(mktemp -u); \
@@ -89,7 +91,9 @@ smoke:
 		$$bin run $$s -smoke >/dev/null; \
 	done; \
 	echo "== smoke: mpexp run fleet (48 devices, 2x handover rate)"; \
-	$$bin run fleet -smoke -set devices=48 -set handover_rate=2 >/dev/null; \
+	out=$$($$bin run fleet -smoke -set devices=48 -set handover_rate=2); \
+	echo "$$out" | grep -q '48 devices' && echo "$$out" | grep -q 'handover rate 2x' || \
+		{ echo "fleet smoke did not run 48 devices at 2x handover rate"; exit 1; }; \
 	echo "== smoke: mpexp run ctlstress (wide window, tight queue)"; \
 	$$bin run ctlstress -smoke -set window=1ms -set queue=16 >/dev/null; \
 	tdir=$$(mktemp -d); \
@@ -106,8 +110,9 @@ smoke:
 # race-instrumented binary: the end-to-end gate for the sharded parallel
 # core's cross-shard synchronisation. Per-seed results are bit-identical
 # at any shard count, so any divergence or data race here is a bug in
-# the lookahead windows, not the model. Tracing is single-shard only
-# (rejected with -shards > 1), so the traced run stays in `smoke`.
+# the lookahead windows, not the model. The sized cells grep their report
+# headers for the sizes they set. Tracing is single-shard only (rejected
+# with -shards > 1), so the traced run stays in `smoke`.
 smoke-shards:
 	@set -e; \
 	bin=$$(mktemp -u); \
@@ -118,9 +123,13 @@ smoke-shards:
 		$$bin run $$s -smoke -shards 4 >/dev/null; \
 	done; \
 	echo "== smoke (-race, -shards 4): mpexp run fleet (64 devices)"; \
-	$$bin run fleet -smoke -shards 4 -set devices=64 >/dev/null; \
+	out=$$($$bin run fleet -smoke -shards 4 -set devices=64); \
+	echo "$$out" | grep -q '64 devices' || \
+		{ echo "fleet shard smoke did not run 64 devices"; exit 1; }; \
 	echo "== smoke (-race, -shards 4): mpexp run ctlstress (8 conns)"; \
-	$$bin run ctlstress -smoke -shards 4 -set conns=8 >/dev/null
+	out=$$($$bin run ctlstress -smoke -shards 4 -set conns=8); \
+	echo "$$out" | grep -q '8 conns' || \
+		{ echo "ctlstress shard smoke did not run 8 conns"; exit 1; }
 
 # Workspace round-trip gate: init a temp .mpexp workspace, run every
 # registered scenario twice (same seed, captured into the workspace) and

@@ -21,8 +21,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/experiments"
-	"repro/internal/fleet"
+	_ "repro/internal/experiments" // registers the scenarios run by name
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/nlmsg"
@@ -59,32 +58,17 @@ func report(b *testing.B, m *runner.Multi, scalar, metric string, scale float64)
 }
 
 func BenchmarkFig2aBackup(b *testing.B) {
-	m := sweep(b, "fig2a", func(seed int64) *experiments.Result {
-		cfg := experiments.DefaultFig2a()
-		cfg.Seed = seed
-		return experiments.Fig2a(cfg)
-	})
+	m := sweep(b, "fig2a", scenario.Job("fig2a", nil))
 	report(b, m, "switch_delay_s", "switch_delay_s", 1)
 }
 
 func BenchmarkFig2aKernelBaseline(b *testing.B) {
-	m := sweep(b, "fig2a-baseline", func(seed int64) *experiments.Result {
-		cfg := experiments.DefaultFig2a()
-		cfg.Seed = seed
-		cfg.Baseline = true
-		cfg.LossRatio = 1.0
-		return experiments.Fig2a(cfg)
-	})
+	m := sweep(b, "fig2a-baseline", scenario.Job("fig2a", scenario.NewParams(map[string]string{"baseline": "true", "loss": "1.0"})))
 	report(b, m, "backup_first_data_s", "backup_first_data_s", 1)
 }
 
 func BenchmarkFig2bStreaming(b *testing.B) {
-	m := sweep(b, "fig2b", func(seed int64) *experiments.Result {
-		cfg := experiments.DefaultFig2b()
-		cfg.Seed = seed
-		cfg.Blocks = 60
-		return experiments.Fig2b(cfg)
-	})
+	m := sweep(b, "fig2b", scenario.Job("fig2b", scenario.NewParams(map[string]string{"blocks": "60"})))
 	report(b, m, "smart_p90_s", "smart_p90_s", 1)
 	report(b, m, "fullmesh_same_loss_p90_s", "fullmesh_p90_s", 1)
 }
@@ -92,61 +76,38 @@ func BenchmarkFig2bStreaming(b *testing.B) {
 // Ablation (§4.3): where in the block the progress probe sits.
 func BenchmarkFig2bProbePointAblation(b *testing.B) {
 	for _, checkMs := range []int{250, 500, 750} {
-		b.Run(time.Duration(checkMs*int(time.Millisecond)).String(), func(b *testing.B) {
-			m := sweep(b, "fig2b-probe", func(seed int64) *experiments.Result {
-				cfg := experiments.DefaultFig2b()
-				cfg.Seed = seed
-				cfg.Blocks = 40
-				cfg.LossLevels = nil // smart curve only
-				cfg.ProbeAt = time.Duration(checkMs) * time.Millisecond
-				return experiments.Fig2b(cfg)
-			})
+		probe := time.Duration(checkMs * int(time.Millisecond)).String()
+		b.Run(probe, func(b *testing.B) {
+			m := sweep(b, "fig2b-probe", scenario.Job("fig2b", scenario.NewParams(map[string]string{
+				"blocks":      "40",
+				"loss_levels": "", // smart curve only
+				"probe_at":    probe,
+			})))
 			report(b, m, "smart_p90_s", "smart_p90_s", 1)
 		})
 	}
 }
 
 func BenchmarkFig2cNdiffports(b *testing.B) {
-	m := sweep(b, "fig2c-ndiffports", func(seed int64) *experiments.Result {
-		cfg := experiments.DefaultFig2c()
-		// Consecutive seeds are safe: Fig2c spaces its per-trial seeds by
-		// 1000, so benchmark seeds only collide 1000 apart.
-		cfg.Seed = seed
-		cfg.Trials = 3
-		cfg.FileBytes = 25 << 20 // completion scales linearly with size
-		return experiments.Fig2c(cfg)
-	})
+	// Consecutive seeds are safe: fig2c spaces its per-trial seeds by
+	// 1000, so benchmark seeds only collide 1000 apart. Completion
+	// scales linearly with size, hence 25 MB.
+	m := sweep(b, "fig2c-ndiffports", scenario.Job("fig2c", scenario.NewParams(map[string]string{"trials": "3", "mb": "25"})))
 	report(b, m, "ndiffports_median_s", "median_s_25MB", 1)
 }
 
 func BenchmarkFig2cRefresh(b *testing.B) {
-	m := sweep(b, "fig2c-refresh", func(seed int64) *experiments.Result {
-		cfg := experiments.DefaultFig2c()
-		cfg.Seed = seed
-		cfg.Trials = 3
-		cfg.FileBytes = 25 << 20
-		return experiments.Fig2c(cfg)
-	})
+	m := sweep(b, "fig2c-refresh", scenario.Job("fig2c", scenario.NewParams(map[string]string{"trials": "3", "mb": "25"})))
 	report(b, m, "refresh_median_s", "median_s_25MB", 1)
 }
 
 func BenchmarkFig3KernelPM(b *testing.B) {
-	m := sweep(b, "fig3-kernel", func(seed int64) *experiments.Result {
-		cfg := experiments.DefaultFig3()
-		cfg.Seed = seed
-		cfg.Requests = 100
-		return experiments.Fig3(cfg)
-	})
+	m := sweep(b, "fig3-kernel", scenario.Job("fig3", scenario.NewParams(map[string]string{"requests": "100"})))
 	report(b, m, "kernel_mean_ms", "capa_join_us", 1000)
 }
 
 func BenchmarkFig3UserspacePM(b *testing.B) {
-	m := sweep(b, "fig3-userspace", func(seed int64) *experiments.Result {
-		cfg := experiments.DefaultFig3()
-		cfg.Seed = seed
-		cfg.Requests = 100
-		return experiments.Fig3(cfg)
-	})
+	m := sweep(b, "fig3-userspace", scenario.Job("fig3", scenario.NewParams(map[string]string{"requests": "100"})))
 	report(b, m, "user_mean_ms", "capa_join_us", 1000)
 	report(b, m, "delta_us", "penalty_us", 1)
 }
@@ -155,12 +116,7 @@ func BenchmarkFig3UserspacePM(b *testing.B) {
 func BenchmarkFig2aThresholdAblation(b *testing.B) {
 	for _, th := range []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second} {
 		b.Run(th.String(), func(b *testing.B) {
-			m := sweep(b, "fig2a-threshold", func(seed int64) *experiments.Result {
-				cfg := experiments.DefaultFig2a()
-				cfg.Seed = seed
-				cfg.Threshold = th
-				return experiments.Fig2a(cfg)
-			})
+			m := sweep(b, "fig2a-threshold", scenario.Job("fig2a", scenario.NewParams(map[string]string{"threshold": th.String()})))
 			report(b, m, "switch_delay_s", "switch_delay_s", 1)
 		})
 	}
@@ -168,22 +124,12 @@ func BenchmarkFig2aThresholdAblation(b *testing.B) {
 
 // Ablation (Fig. 3): the Netlink latency model under CPU stress.
 func BenchmarkFig3StressedAblation(b *testing.B) {
-	m := sweep(b, "fig3-stressed", func(seed int64) *experiments.Result {
-		cfg := experiments.DefaultFig3()
-		cfg.Seed = seed
-		cfg.Requests = 100
-		cfg.Stressed = true
-		return experiments.Fig3(cfg)
-	})
+	m := sweep(b, "fig3-stressed", scenario.Job("fig3", scenario.NewParams(map[string]string{"requests": "100", "stressed": "true"})))
 	report(b, m, "delta_us", "penalty_us", 1)
 }
 
 func BenchmarkLongLived(b *testing.B) {
-	m := sweep(b, "longlived", func(seed int64) *experiments.Result {
-		cfg := experiments.DefaultLongLived()
-		cfg.Seed = seed
-		return experiments.LongLived(cfg)
-	})
+	m := sweep(b, "longlived", scenario.Job("longlived", nil))
 	report(b, m, "messages_delivered", "delivered", 1)
 	report(b, m, "reestablishments", "reestablishments", 1)
 }
@@ -192,12 +138,7 @@ func BenchmarkLongLived(b *testing.B) {
 // §4.3 streaming workload — the controller-space analogue of the
 // scheduler sweep, driven entirely through the smapp registry.
 func BenchmarkCtlSweep(b *testing.B) {
-	m := sweep(b, "ctlsweep", func(seed int64) *experiments.Result {
-		cfg := experiments.DefaultCtlSweep()
-		cfg.Seed = seed
-		cfg.Blocks = 40
-		return experiments.CtlSweep(cfg)
-	})
+	m := sweep(b, "ctlsweep", scenario.Job("ctlsweep", scenario.NewParams(map[string]string{"blocks": "40"})))
 	report(b, m, "stream_p90_s", "stream_p90_s", 1)
 	report(b, m, "backup_p90_s", "backup_p90_s", 1)
 	report(b, m, "fullmesh_p90_s", "fullmesh_p90_s", 1)
@@ -207,12 +148,7 @@ func BenchmarkCtlSweep(b *testing.B) {
 // BenchmarkSchedSweep compares every registered scheduler on the §4.3
 // streaming workload (the CSWS'14-style policy sweep).
 func BenchmarkSchedSweep(b *testing.B) {
-	m := sweep(b, "schedsweep", func(seed int64) *experiments.Result {
-		cfg := experiments.DefaultSchedSweep()
-		cfg.Seed = seed
-		cfg.Blocks = 40
-		return experiments.SchedSweep(cfg)
-	})
+	m := sweep(b, "schedsweep", scenario.Job("schedsweep", scenario.NewParams(map[string]string{"blocks": "40"})))
 	report(b, m, "lowest-rtt_p90_s", "lowest_rtt_p90_s", 1)
 	report(b, m, "redundant_p90_s", "redundant_p90_s", 1)
 	report(b, m, "weighted-rtt_p90_s", "weighted_rtt_p90_s", 1)
@@ -224,13 +160,7 @@ func BenchmarkSchedSweep(b *testing.B) {
 // simulator throughput (segs/sec of wall time) into the bench artifact;
 // with -benchmem the allocs/op column tracks the zero-allocation goal.
 func BenchmarkScale(b *testing.B) {
-	m := sweep(b, "scale", func(seed int64) *experiments.Result {
-		cfg := experiments.DefaultScale()
-		cfg.Seed = seed
-		cfg.Conns = 8
-		cfg.BytesPerConn = 512 << 10
-		return experiments.Scale(cfg)
-	})
+	m := sweep(b, "scale", scenario.Job("scale", scenario.NewParams(map[string]string{"conns": "8", "kb": "512"})))
 	b.ReportAllocs()
 	report(b, m, "segs_per_wall_s", "segs_per_wall_s", 1)
 	report(b, m, "events_per_wall_s", "events_per_wall_s", 1)
@@ -278,14 +208,7 @@ func BenchmarkScaleShards(b *testing.B) {
 // (completions) and the fleet-level goodput median so policy-layer
 // regressions under mobility show up in the bench artifact.
 func BenchmarkFleet(b *testing.B) {
-	m := sweep(b, "fleet", func(seed int64) *experiments.Result {
-		cfg := fleet.DefaultFleet()
-		cfg.Seed = seed
-		cfg.Devices = 32
-		cfg.Bytes = 32 << 10
-		cfg.Duration = 8 * time.Second
-		return fleet.Fleet(cfg)
-	})
+	m := sweep(b, "fleet", scenario.Job("fleet", scenario.NewParams(map[string]string{"devices": "32", "kb": "32", "duration": "8s"})))
 	b.ReportAllocs()
 	report(b, m, "completed", "completed", 1)
 	report(b, m, "goodput_p50_mbps", "goodput_p50_mbps", 1)
@@ -297,16 +220,10 @@ func BenchmarkFleet(b *testing.B) {
 // per connection, in both immediate and coalesced delivery modes. The
 // custom metrics put the policy-decision latency (event emitted →
 // command applied) of the coalesced cell into the bench artifact; with
-// -benchmem the allocs/op column tracks the pooled codec.
+// -benchmem the allocs/op column tracks the pooled codec. The smoke size
+// (4 conns, 32 KB each, 1 s horizon) keeps it bench-sized.
 func BenchmarkCtlStress(b *testing.B) {
-	m := sweep(b, "ctlstress", func(seed int64) *experiments.Result {
-		cfg := experiments.DefaultCtlStress()
-		cfg.Seed = seed
-		cfg.Conns = 4
-		cfg.BytesPerConn = 32 << 10
-		cfg.Horizon = time.Second
-		return experiments.CtlStress(cfg)
-	})
+	m := sweep(b, "ctlstress", scenario.Job("ctlstress", scenario.NewParams(map[string]string{"smoke": "true"})))
 	b.ReportAllocs()
 	report(b, m, "decision_p50_us", "decision_p50_us", 1)
 	report(b, m, "decision_p99_us", "decision_p99_us", 1)
@@ -319,15 +236,8 @@ func BenchmarkCtlStress(b *testing.B) {
 // (record volume rides along as a custom metric; compare ns/op and
 // allocs/op against BenchmarkFig2aBackup for the cost of observation).
 func BenchmarkFig2aTraced(b *testing.B) {
-	m := sweep(b, "fig2a-traced", func(seed int64) *experiments.Result {
-		p := scenario.NewParams(nil)
-		p.Set("trace", "") // record + analyse, no file
-		sp, err := scenario.Build("fig2a", p)
-		if err != nil {
-			panic(err)
-		}
-		return scenario.Execute(sp, seed)
-	})
+	// A bare trace records and analyses without a file.
+	m := sweep(b, "fig2a-traced", scenario.Job("fig2a", scenario.NewParams(map[string]string{"trace": ""})))
 	b.ReportAllocs()
 	report(b, m, "switch_delay_s", "switch_delay_s", 1)
 	report(b, m, "trace_records", "trace_records", 1)

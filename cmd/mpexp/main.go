@@ -6,12 +6,14 @@
 //
 // Usage:
 //
-//	mpexp run <scenario> [-set key=val ...] [-smoke] [common flags]
-//	mpexp sweep <scenario> [-schedulers a,b] [-controllers x,y]
+//	mpexp run <scenario|manifest.json> [-set key=val ...] [-smoke] [common flags]
+//	mpexp sweep <scenario|manifest.json> [-schedulers a,b] [-controllers x,y]
 //	            [-vary key=v1,v2 ...] [-set key=val ...] [common flags]
-//	mpexp list [-names]
+//	mpexp list [-names|-json]
 //	mpexp all            (every registered scenario + the paper's
 //	                      baseline variants, honouring the common flags)
+//	mpexp init [dir]
+//	mpexp diff <runA> <runB> [-tol F] [-ws DIR]
 //	mpexp report <tracefile ...> [-csv DIR] [-json]
 //
 // Any run can record an event trace (-trace FILE, or the trace=FILE
@@ -21,9 +23,13 @@
 // mptcptrace-style analysis (per-subflow byte split, duplicate and
 // reinjection accounting, handover gaps, link utilisation).
 //
-// The figure names also work as subcommands with their familiar flags
-// (`mpexp fig2a -baseline`, `mpexp fig2c -trials 5 -mb 25`, ...); they
-// translate to `run <figure> -set ...`.
+// run, sweep and all execute one thing: a scenario manifest
+// (internal/scenario). A manifest file is loaded as written; a bare
+// scenario name becomes a manifest built from the flags. Explicitly
+// passed flags override either, and -set pairs override the flags; the
+// result runs through the workspace when one is active, otherwise
+// straight to stdout. -smoke shrinks only a scenario's defaults, so an
+// explicit -set value always wins.
 //
 // Every run can fan one scenario out over many seeds (-seeds) on a
 // bounded worker pool (-parallel), turning each figure's point estimate
@@ -42,7 +48,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -82,6 +87,8 @@ type runFlags struct {
 	ws          *string
 	cpuprofile  *string
 	memprofile  *string
+
+	serving bool // the -metrics-addr endpoint is up
 }
 
 func addRunFlags(fs *flag.FlagSet) *runFlags {
@@ -117,15 +124,17 @@ func (rf *runFlags) metricsOn() bool {
 }
 
 // startIntrospection arms the runtime-only observability flags: the live
-// metrics/pprof endpoint and shard-labelled profiles. Called once per
-// subcommand after flag parsing, before anything simulates.
+// metrics/pprof endpoint and shard-labelled profiles. Called before each
+// manifest simulates; the endpoint starts once per subcommand, so `all`
+// keeps serving on one address across its scenarios.
 func (rf *runFlags) startIntrospection() {
 	sim.SetProfileLabels(*rf.pprofLabels)
-	if *rf.metricsAddr != "" {
+	if *rf.metricsAddr != "" && !rf.serving {
 		addr, err := metrics.Serve(*rf.metricsAddr)
 		if err != nil {
 			die(err)
 		}
+		rf.serving = true
 		fmt.Fprintf(os.Stderr, "[live metrics on http://%s/metrics, pprof under /debug/pprof/]\n", addr)
 	}
 }
@@ -179,37 +188,6 @@ func die(err error) {
 	os.Exit(2)
 }
 
-// params merges the common flags and -set pairs into scenario parameters.
-func (rf *runFlags) params(sets []string, smoke bool) *scenario.Params {
-	p, err := scenario.ParseSets(sets)
-	if err != nil {
-		die(err)
-	}
-	if *rf.sched != "" {
-		p.Set("sched", *rf.sched)
-	}
-	if *rf.controller != "" {
-		p.Set("policy", *rf.controller)
-	}
-	if *rf.trace != "" {
-		p.Set("trace", *rf.trace)
-	}
-	if rf.metricsOn() {
-		// Bare -metrics records and renders without a file; -metrics-out
-		// adds the metrics.json snapshot.
-		p.Set("metrics", *rf.metricsOut)
-	}
-	if *rf.shards != 0 {
-		// Negative values pass through so scenario.Build rejects them
-		// with its usual parameter error instead of silently running.
-		p.Set("shards", strconv.Itoa(*rf.shards))
-	}
-	if smoke {
-		p.Set("smoke", "true")
-	}
-	return p
-}
-
 // validate rejects unknown -sched/-controller values up front (the
 // "kernel" pseudo-policy is a scale sweep cell, not a registered
 // controller — factories validate it per scenario).
@@ -224,32 +202,14 @@ func (rf *runFlags) validate() {
 	}
 }
 
-// runScenario builds the named scenario once to surface parameter errors,
-// then executes it across the configured seeds. It reports whether every
-// seed succeeded; callers chaining several scenarios (the all subcommand)
-// decide the exit status only after the last one, so one failed seed
-// cannot swallow the remaining figures.
-func (rf *runFlags) runScenario(label, name string, p *scenario.Params) bool {
-	rf.validate()
-	// A trace file is written once per run by whichever seed executes,
-	// so concurrent seeds would corrupt it: tracing to a file requires
-	// -seeds 1 (bare `-set trace` — no file — is fine at any count).
-	if file := p.Clone().Str("trace", ""); file != "" && *rf.seeds > 1 {
-		die(fmt.Errorf("%s: -trace %s with -seeds %d would write the same file from every seed concurrently; use -seeds 1 (vary -seed across runs instead)", label, file, *rf.seeds))
-	}
-	// Metrics harvest per-run deltas of process-wide pool counters, so
-	// concurrent seeds would bleed into each other's numbers.
-	if p.Clone().Has("metrics") && *rf.seeds > 1 {
-		die(fmt.Errorf("%s: -metrics with -seeds %d would mix the process-wide pool counters across concurrent seeds; use -seeds 1 (vary -seed across runs instead)", label, *rf.seeds))
-	}
-	if _, err := scenario.Build(name, p.Clone()); err != nil {
-		die(err)
-	}
-	startProfiles(*rf.cpuprofile, *rf.memprofile)
-	rf.startIntrospection()
-	job := runner.Job(scenario.Job(name, p))
-	if *rf.seeds <= 1 {
-		res, err := runOnce(job, *rf.seed)
+// runSeeds executes job for seeds seed, seed+1, ... on the worker pool:
+// one seed prints its full report, more print the across-seed aggregate.
+// It reports whether every seed succeeded; callers chaining several
+// scenarios (the all subcommand) decide the exit status only after the
+// last one, so one failed seed cannot swallow the remaining figures.
+func (rf *runFlags) runSeeds(label string, job runner.Job, seed int64, seeds int) bool {
+	if seeds <= 1 {
+		res, err := runOnce(job, seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mpexp: %s: %v\n", label, err)
 			return false
@@ -258,8 +218,8 @@ func (rf *runFlags) runScenario(label, name string, p *scenario.Params) bool {
 		return true
 	}
 	m := runner.Run(label, runner.Config{
-		Seeds:    *rf.seeds,
-		BaseSeed: *rf.seed,
+		Seeds:    seeds,
+		BaseSeed: seed,
 		Parallel: *rf.parallel,
 		OnDone: func(sr runner.SeedResult) {
 			fmt.Fprintf(os.Stderr, "[seed %d done]\n", sr.Seed)
@@ -284,34 +244,19 @@ func cmdRun(args []string) bool {
 	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
 		usage()
 	}
-	name := args[0]
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	rf := addRunFlags(fs)
 	var sets stringList
 	fs.Var(&sets, "set", "scenario parameter key=value (repeatable)")
 	smoke := fs.Bool("smoke", false, "reduced sizes/durations (CI smoke)")
 	fs.Parse(args[1:])
-	if isManifestPath(name) {
-		m, err := scenario.LoadManifest(name)
-		if err != nil {
-			die(err)
-		}
-		applyFlagOverrides(fs, rf, m, sets, *smoke)
-		return runManifest(rf, m)
-	}
-	if resolveWorkspace(*rf.ws) != nil {
-		// A workspace is active: route the flag-driven run through the
-		// same manifest path a file would take, capturing its artifacts.
-		return runManifest(rf, rf.flagManifest(name, sets, *smoke))
-	}
-	return rf.runScenario(name, name, rf.params(sets, *smoke))
+	return runManifest(rf, manifestFor(fs, rf, args[0], sets, *smoke))
 }
 
 func cmdSweep(args []string) bool {
 	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
 		usage()
 	}
-	name := args[0]
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	rf := addRunFlags(fs)
 	schedulers := fs.String("schedulers", "", "comma-separated scheduler axis")
@@ -322,76 +267,28 @@ func cmdSweep(args []string) bool {
 	smoke := fs.Bool("smoke", false, "reduced sizes/durations (CI smoke)")
 	fs.Parse(args[1:])
 
-	var axes []scenario.Axis
-	for _, kv := range vary {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok || k == "" || v == "" {
-			die(fmt.Errorf("malformed -vary %q (want key=v1,v2,...)", kv))
-		}
-		axes = append(axes, scenario.Axis{Key: k, Values: strings.Split(v, ",")})
+	// Sweep axes given as flags override (or extend) the manifest's.
+	m := manifestFor(fs, rf, args[0], sets, *smoke)
+	if m.Sweep == nil {
+		m.Sweep = &scenario.ManifestSweep{}
 	}
-	split := func(s string) []string {
-		if s == "" {
-			return nil
-		}
-		return strings.Split(s, ",")
+	if *schedulers != "" {
+		m.Sweep.Schedulers = strings.Split(*schedulers, ",")
 	}
-	// Manifest files and workspace capture share the run path: sweep axes
-	// given as flags override (or extend) the manifest's.
-	mergeAxes := func(m *scenario.Manifest) *scenario.Manifest {
-		if m.Sweep == nil {
-			m.Sweep = &scenario.ManifestSweep{}
-		}
-		if *schedulers != "" {
-			m.Sweep.Schedulers = split(*schedulers)
-		}
-		if *controllers != "" {
-			m.Sweep.Controllers = split(*controllers)
-		}
-		if len(axes) > 0 {
-			m.Sweep.Vary = nil
-			for _, ax := range axes {
-				m.Sweep.Vary = append(m.Sweep.Vary, scenario.ManifestAxis{Key: ax.Key, Values: ax.Values})
+	if *controllers != "" {
+		m.Sweep.Controllers = strings.Split(*controllers, ",")
+	}
+	if len(vary) > 0 {
+		m.Sweep.Vary = nil
+		for _, kv := range vary {
+			k, v, ok := strings.Cut(kv, "=")
+			if !ok || k == "" || v == "" {
+				die(fmt.Errorf("malformed -vary %q (want key=v1,v2,...)", kv))
 			}
-		}
-		return m
-	}
-	if isManifestPath(name) {
-		m, err := scenario.LoadManifest(name)
-		if err != nil {
-			die(err)
-		}
-		applyFlagOverrides(fs, rf, m, sets, *smoke)
-		return runManifest(rf, mergeAxes(m))
-	}
-	if resolveWorkspace(*rf.ws) != nil {
-		return runManifest(rf, mergeAxes(rf.flagManifest(name, sets, *smoke)))
-	}
-	startProfiles(*rf.cpuprofile, *rf.memprofile)
-	rf.startIntrospection()
-	sr, err := scenario.Sweep(scenario.SweepConfig{
-		Scenario:    name,
-		Base:        rf.params(sets, *smoke),
-		Schedulers:  split(*schedulers),
-		Controllers: split(*controllers),
-		Axes:        axes,
-		Seeds:       *rf.seeds,
-		BaseSeed:    *rf.seed,
-		Parallel:    *rf.parallel,
-		OnCell: func(c *scenario.Cell) {
-			fmt.Fprintf(os.Stderr, "[cell %s done]\n", c.Label)
-		},
-	})
-	if err != nil {
-		die(err)
-	}
-	fmt.Print(sr.Report())
-	for _, c := range sr.Cells {
-		if len(c.Multi.Failed()) > 0 {
-			return false
+			m.Sweep.Vary = append(m.Sweep.Vary, scenario.ManifestAxis{Key: k, Values: strings.Split(v, ",")})
 		}
 	}
-	return true
+	return runManifest(rf, m)
 }
 
 // cmdReport analyses trace files recorded with `run -trace` (or the
@@ -481,15 +378,12 @@ func cmdList(args []string) {
 		scenario.KernelPolicy)
 }
 
-// allVariants are the paper's baseline runs `mpexp all` adds next to each
-// scenario's default configuration.
-var allVariants = map[string][]struct {
-	label string
-	extra map[string]string
-}{
-	"fig2a":     {{"fig2a-baseline", map[string]string{"baseline": "true"}}},
-	"fig3":      {{"fig3-stressed", map[string]string{"stressed": "true"}}},
-	"longlived": {{"longlived-plain", map[string]string{"plain": "true"}}},
+// allVariants are the paper's baseline runs `mpexp all` adds next to a
+// scenario's default configuration: a run label and its -set pair.
+var allVariants = map[string]struct{ label, set string }{
+	"fig2a":     {"fig2a-baseline", "baseline=true"},
+	"fig3":      {"fig3-stressed", "stressed=true"},
+	"longlived": {"longlived-plain", "plain=true"},
 }
 
 func cmdAll(args []string) bool {
@@ -497,106 +391,32 @@ func cmdAll(args []string) bool {
 	rf := addRunFlags(fs)
 	smoke := fs.Bool("smoke", false, "reduced sizes/durations (CI smoke)")
 	fs.Parse(args)
-	// "kernel" names a scale sweep cell, not a registered policy: the
-	// figures fall back to their paper-default controllers.
-	scaleCtl := *rf.controller
-	if scaleCtl == scenario.KernelPolicy {
-		*rf.controller = ""
-	}
-	// One trace/metrics file per scenario/variant (suffixed with its
-	// label), so the sequential runs don't overwrite each other's output.
-	suffixTrace := func(p *scenario.Params, label string) {
-		if *rf.trace != "" {
-			p.Set("trace", *rf.trace+"."+label)
-		}
-		if *rf.metricsOut != "" {
-			p.Set("metrics", *rf.metricsOut+"."+label)
-		}
-	}
 	ok := true
-	for _, name := range scenario.Names() {
-		p := rf.params(nil, *smoke)
-		if name == "scale" && scaleCtl != "" {
-			p.Set("policy", scaleCtl)
+	run := func(label, name string, sets []string) {
+		m := manifestFor(fs, rf, name, sets, *smoke)
+		m.Name = label
+		// "kernel" names a scale sweep cell, not a registered policy: the
+		// figures fall back to their paper-default controllers.
+		if name != "scale" && m.Params["policy"] == scenario.KernelPolicy {
+			delete(m.Params, "policy")
 		}
-		suffixTrace(p, name)
-		ok = rf.runScenario(name, name, p) && ok
-		for _, v := range allVariants[name] {
-			p := rf.params(nil, *smoke)
-			for k, val := range v.extra {
-				p.Set(k, val)
-			}
-			suffixTrace(p, v.label)
-			ok = rf.runScenario(v.label, name, p) && ok
+		// One trace/metrics file per scenario/variant (suffixed with its
+		// label), so the sequential runs don't overwrite each other's output.
+		if m.TraceFile != "" {
+			m.TraceFile += "." + label
+		}
+		if m.MetricsFile != "" {
+			m.MetricsFile += "." + label
+		}
+		ok = runManifest(rf, m) && ok
+	}
+	for _, name := range scenario.Names() {
+		run(name, name, nil)
+		if v, found := allVariants[name]; found {
+			run(v.label, name, []string{v.set})
 		}
 	}
 	return ok
-}
-
-// legacy translates the familiar per-figure subcommands into scenario
-// parameters, so `mpexp fig2a -baseline` keeps working on top of the
-// generic runner.
-func legacy(cmd string, args []string) bool {
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	rf := addRunFlags(fs)
-	var pairs []string
-	switch cmd {
-	case "fig2a":
-		baseline := fs.Bool("baseline", false, "run the in-kernel pre-established-backup baseline")
-		loss := fs.Float64("loss", -1, "primary-path loss ratio (default 0.30 smart, 1.0 baseline)")
-		fs.Parse(args)
-		if *baseline {
-			pairs = append(pairs, "baseline=true")
-		}
-		if *loss >= 0 {
-			pairs = append(pairs, fmt.Sprintf("loss=%v", *loss))
-		}
-	case "fig2b":
-		blocks := fs.Int("blocks", 120, "blocks per curve")
-		fs.Parse(args)
-		pairs = append(pairs, fmt.Sprintf("blocks=%d", *blocks))
-	case "fig2c":
-		trials := fs.Int("trials", 20, "trials per variant")
-		mb := fs.Int("mb", 100, "file size in MB")
-		fs.Parse(args)
-		pairs = append(pairs, fmt.Sprintf("trials=%d", *trials), fmt.Sprintf("mb=%d", *mb))
-	case "fig3":
-		requests := fs.Int("requests", 1000, "consecutive GETs")
-		stressed := fs.Bool("stressed", false, "model the CPU-stressed client")
-		fs.Parse(args)
-		pairs = append(pairs, fmt.Sprintf("requests=%d", *requests))
-		if *stressed {
-			pairs = append(pairs, "stressed=true")
-		}
-	case "longlived":
-		plain := fs.Bool("plain", false, "run the nil policy (plain-stack baseline)")
-		fs.Parse(args)
-		if *plain {
-			pairs = append(pairs, "plain=true")
-		}
-	case "ctlsweep":
-		loss := fs.Float64("loss", 0.30, "primary-path loss ratio")
-		blocks := fs.Int("blocks", 120, "blocks per controller")
-		fs.Parse(args)
-		pairs = append(pairs, fmt.Sprintf("loss=%v", *loss), fmt.Sprintf("blocks=%d", *blocks))
-	case "schedsweep":
-		loss := fs.Float64("loss", 0.30, "primary-path loss ratio")
-		blocks := fs.Int("blocks", 120, "blocks per scheduler")
-		fs.Parse(args)
-		pairs = append(pairs, fmt.Sprintf("loss=%v", *loss), fmt.Sprintf("blocks=%d", *blocks))
-	case "scale":
-		conns := fs.Int("conns", 16, "concurrent connections (one client host each)")
-		subflows := fs.Int("subflows", 2, "interfaces (→ subflows) per client")
-		kb := fs.Int("kb", 1024, "payload per connection in KB")
-		fs.Parse(args)
-		pairs = append(pairs,
-			fmt.Sprintf("conns=%d", *conns),
-			fmt.Sprintf("subflows=%d", *subflows),
-			fmt.Sprintf("kb=%d", *kb))
-	default:
-		usage()
-	}
-	return rf.runScenario(cmd, cmd, rf.params(pairs, false))
 }
 
 func main() {
@@ -630,7 +450,7 @@ func main() {
 	case "all":
 		ok = cmdAll(args)
 	default:
-		ok = legacy(cmd, args)
+		usage()
 	}
 	stopProfiles()
 	fmt.Fprintf(os.Stderr, "\n[%s completed in %v]\n", cmd, time.Since(start).Round(time.Millisecond))
@@ -640,7 +460,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: mpexp <run|sweep|init|diff|list|all|report|figure> [flags]
+	fmt.Fprintln(os.Stderr, `usage: mpexp <run|sweep|init|diff|list|all|report> [flags]
 Reproduces the figures of "SMAPP: Towards Smart Multipath TCP-enabled
 APPlications" (CoNEXT'15) plus a scale stress workload, all expressed as
 registered scenario specs.
@@ -653,7 +473,6 @@ registered scenario specs.
   mpexp list [-names|-json]
   mpexp all
   mpexp report <tracefile ...> [-csv DIR] [-json]
-  mpexp fig2a|fig2b|fig2c|fig3|longlived|ctlsweep|schedsweep|scale [flags]
 
 Common flags: -seed N -seeds N -parallel N -shards N -sched NAME
 -controller NAME -trace F -ws DIR -cpuprofile F -memprofile F. Run a

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/mptcp"
@@ -54,36 +55,22 @@ func resolveWorkspace(wsFlag string) *workspace.Workspace {
 	}
 }
 
-// flagManifest converts flag-driven run/sweep arguments into the same
-// Manifest a file would declare, so workspace capture has exactly one
-// execution path — a flag-driven run and its equivalent manifest produce
+// manifestFor turns a run/sweep/all argument into the manifest to
+// execute: a manifest file as loaded, or a bare scenario name as an
+// empty manifest of that scenario — then layers the explicitly passed
+// flags and -set pairs on top. A flag-driven run and its equivalent
+// manifest file therefore take one execution path and produce
 // byte-identical result.json files.
-func (rf *runFlags) flagManifest(name string, sets []string, smoke bool) *scenario.Manifest {
-	p, err := scenario.ParseSets(sets)
-	if err != nil {
-		die(err)
+func manifestFor(fs *flag.FlagSet, rf *runFlags, arg string, sets []string, smoke bool) *scenario.Manifest {
+	m := &scenario.Manifest{Name: arg, Scenario: arg}
+	if isManifestPath(arg) {
+		var err error
+		if m, err = scenario.LoadManifest(arg); err != nil {
+			die(err)
+		}
 	}
-	if *rf.sched != "" {
-		p.Set("sched", *rf.sched)
-	}
-	if *rf.controller != "" {
-		p.Set("policy", *rf.controller)
-	}
-	if smoke {
-		p.Set("smoke", "true")
-	}
-	return &scenario.Manifest{
-		Name:        name,
-		Scenario:    name,
-		Params:      p.Map(),
-		Seed:        *rf.seed,
-		Seeds:       *rf.seeds,
-		Shards:      *rf.shards,
-		Trace:       *rf.trace != "",
-		TraceFile:   *rf.trace,
-		Metrics:     rf.metricsOn(),
-		MetricsFile: *rf.metricsOut,
-	}
+	applyFlagOverrides(fs, rf, m, sets, smoke)
+	return m
 }
 
 // applyFlagOverrides layers explicitly set CLI flags (and -set pairs)
@@ -127,14 +114,34 @@ func applyFlagOverrides(fs *flag.FlagSet, rf *runFlags, m *scenario.Manifest, se
 	}
 	for _, kv := range sets {
 		k, v, _ := strings.Cut(kv, "=")
-		setParam(k, v)
+		// The common keys a manifest carries as fields keep their -set
+		// spelling (bare `-set trace` records without a file).
+		switch k {
+		case "trace":
+			m.Trace, m.TraceFile = true, v
+		case "metrics":
+			m.Metrics, m.MetricsFile = true, v
+		case "trace_cap", "shards":
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				die(fmt.Errorf("parameter %s=%q: %v", k, v, err))
+			}
+			if k == "shards" {
+				m.Shards = n
+			} else {
+				m.TraceCap = n
+			}
+		default:
+			setParam(k, v)
+		}
 	}
 }
 
 // runManifest executes a manifest — into the workspace when one is
-// active, otherwise through the classic stdout path. It reports whether
-// every seed of every cell succeeded.
+// active, otherwise straight to stdout. It reports whether every seed of
+// every cell succeeded.
 func runManifest(rf *runFlags, m *scenario.Manifest) bool {
+	rf.validate()
 	if err := m.Validate(); err != nil {
 		die(err)
 	}
@@ -156,9 +163,7 @@ func runManifest(rf *runFlags, m *scenario.Manifest) bool {
 		p := m.BuildParams()
 		m.TraceParams(p, m.TraceFile)
 		m.MetricsParams(p, m.MetricsFile)
-		*rf.seed = m.BaseSeed()
-		*rf.seeds = m.EffectiveSeeds()
-		return rf.runScenario(m.RunName(), m.Scenario, p)
+		return rf.runSeeds(m.RunName(), scenario.Job(m.Scenario, p), m.BaseSeed(), m.EffectiveSeeds())
 	}
 	cfg := m.SweepConfig(*rf.parallel)
 	m.TraceParams(cfg.Base, m.TraceFile)

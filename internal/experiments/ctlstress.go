@@ -17,14 +17,13 @@ import (
 	"repro/internal/tcp"
 )
 
-// CtlStressConfig parameterises the control-plane stress scenario: N
+// ctlStressConfig parameterises the control-plane stress scenario: N
 // long-lived connections × M subflows with a fullmesh controller attached
 // to each, while per-client interface flaps churn the subflow set. The
 // measurement is policy-decision latency — the delay from a kernel event
 // being emitted to the controller's resulting command being applied back
 // in the kernel — under the immediate and the coalesced delivery modes.
-type CtlStressConfig struct {
-	Seed         int64
+type ctlStressConfig struct {
 	Conns        int           // concurrent connections, one client host each
 	Subflows     int           // interfaces per client (≥2; iface 1 is flapped)
 	Servers      int           // server hosts, dialed round-robin (0 = 1)
@@ -39,45 +38,32 @@ type CtlStressConfig struct {
 	Horizon      time.Duration // simulation cutoff
 }
 
-// DefaultCtlStress returns the bench-sized control-plane stress run: 8
-// clients flapping their second interface every 150 ms for 2 s.
-func DefaultCtlStress() CtlStressConfig {
-	return CtlStressConfig{
-		Seed:         1,
-		Conns:        8,
-		Subflows:     2,
-		BytesPerConn: 64 << 10,
-		FlapEvery:    150 * time.Millisecond,
-		FlapDown:     60 * time.Millisecond,
-		Window:       200 * time.Microsecond,
-		AccessBps:    50e6,
-		Bottleneck:   200e6,
-		Delay:        10 * time.Millisecond,
-		Horizon:      2 * time.Second,
-	}
-}
-
 func init() {
 	scenario.Register("ctlstress",
 		"control-plane stress: flap-driven subflow churn under a fullmesh controller, measuring event→command decision latency",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultCtlStress()
+			// The bench-sized control-plane stress run: 8 clients
+			// flapping their second interface every 150 ms for 2 s.
 			// Smoke shrinks the defaults first, so an explicit -set still
 			// wins (the shard smoke cell runs `-smoke -set conns=8`).
+			conns, kb, horizon := 8, 64, 2*time.Second
 			if p.Bool("smoke", false) {
-				cfg.Conns = 4
-				cfg.BytesPerConn = 32 << 10
-				cfg.Horizon = time.Second
+				conns, kb, horizon = 4, 32, time.Second
 			}
-			cfg.Conns = p.Int("conns", cfg.Conns)
-			cfg.Subflows = p.Int("subflows", cfg.Subflows)
-			cfg.Servers = p.Int("servers", cfg.Servers)
-			cfg.BytesPerConn = p.Int("kb", cfg.BytesPerConn>>10) << 10
-			cfg.FlapEvery = p.Duration("flap_every", cfg.FlapEvery)
-			cfg.FlapDown = p.Duration("flap_down", cfg.FlapDown)
-			cfg.Window = p.Duration("window", cfg.Window)
-			cfg.Queue = p.Int("queue", cfg.Queue)
-			return ctlStressSpec(cfg)
+			return ctlStressSpec(ctlStressConfig{
+				Conns:        p.Int("conns", conns),
+				Subflows:     p.Int("subflows", 2),
+				Servers:      p.Int("servers", 0),
+				BytesPerConn: p.Int("kb", kb) << 10,
+				FlapEvery:    p.Duration("flap_every", 150*time.Millisecond),
+				FlapDown:     p.Duration("flap_down", 60*time.Millisecond),
+				Window:       p.Duration("window", 200*time.Microsecond),
+				Queue:        p.Int("queue", 0),
+				AccessBps:    50e6,
+				Bottleneck:   200e6,
+				Delay:        10 * time.Millisecond,
+				Horizon:      horizon,
+			})
 		})
 	scenario.RegisterParams("ctlstress",
 		scenario.ParamDoc{Key: "conns", Type: "int", Default: "8", Desc: "concurrent connections, one client host each"},
@@ -96,7 +82,7 @@ func init() {
 // "coalesced" batches events per flush window into pooled multi-message
 // frames. Every scalar is simulated — no wall-clock output — so the run is
 // byte-identical at any shard count.
-func ctlStressSpec(cfg CtlStressConfig) (*scenario.Spec, error) {
+func ctlStressSpec(cfg ctlStressConfig) (*scenario.Spec, error) {
 	if cfg.Subflows < 2 {
 		return nil, fmt.Errorf("ctlstress: need subflows >= 2 (iface 1 is flapped), got %d", cfg.Subflows)
 	}
@@ -204,15 +190,6 @@ func ctlStressSpec(cfg CtlStressConfig) (*scenario.Spec, error) {
 			}
 		},
 	}, nil
-}
-
-// CtlStress runs the control-plane stress scenario (see ctlStressSpec).
-func CtlStress(cfg CtlStressConfig) *Result {
-	sp, err := ctlStressSpec(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return scenario.Execute(sp, cfg.Seed)
 }
 
 // ctlStressLoad is the churn workload: every client dials once through its

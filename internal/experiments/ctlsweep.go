@@ -2,54 +2,40 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/scenario"
 	"repro/internal/smapp"
 	"repro/internal/stats"
 )
 
-// CtlSweepConfig parameterises the controller-sweep experiment.
-type CtlSweepConfig struct {
-	Seed        int64
-	Sched       string        // packet scheduler for every run
-	Controllers []string      // registered policy names; empty sweeps every one
-	Loss        float64       // loss ratio on the primary path
-	Blocks      int           // blocks per controller run
-	Period      time.Duration // one block per period
-	BlockSize   int
-	LossAt      time.Duration // loss starts after this settle time
-}
-
-// DefaultCtlSweep sweeps every registered controller over the §4.3
-// streaming workload at 30 % loss.
-func DefaultCtlSweep() CtlSweepConfig {
-	return CtlSweepConfig{
-		Seed:      1,
-		Loss:      0.30,
-		Blocks:    120,
-		Period:    time.Second,
-		BlockSize: 64 << 10,
-		LossAt:    time.Second,
-	}
+// ctlSweepConfig parameterises the controller-sweep experiment.
+type ctlSweepConfig struct {
+	Sched       string   // packet scheduler for every run
+	Controllers []string // registered policy names; empty sweeps every one
+	Loss        float64  // loss ratio on the primary path
+	Blocks      int      // blocks per controller run
 }
 
 func init() {
 	scenario.Register("ctlsweep",
 		"controller sweep: the §4.3 streaming workload once per registered subflow controller, plus the plain stack",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultCtlSweep()
-			cfg.Sched = p.Str("sched", cfg.Sched)
-			if c := p.Str("policy", ""); c != "" {
-				cfg.Controllers = []string{c} // sweep a single policy
-			}
-			cfg.Controllers = p.Strings("controllers", cfg.Controllers)
-			cfg.Loss = p.Float("loss", cfg.Loss)
-			cfg.Blocks = p.Int("blocks", cfg.Blocks)
+			// Every registered controller over the §4.3 streaming workload
+			// at 30 % loss; smoke shrinks the default before the read.
+			blocks := 120
 			if p.Bool("smoke", false) {
-				cfg.Blocks = 10
+				blocks = 10
 			}
-			return ctlSweepSpec(cfg)
+			var ctls []string
+			if c := p.Str("policy", ""); c != "" {
+				ctls = []string{c} // sweep a single policy
+			}
+			return ctlSweepSpec(ctlSweepConfig{
+				Sched:       p.Str("sched", ""),
+				Controllers: p.Strings("controllers", ctls),
+				Loss:        p.Float("loss", 0.30),
+				Blocks:      p.Int("blocks", blocks),
+			})
 		})
 	scenario.RegisterParams("ctlsweep",
 		scenario.ParamDoc{Key: "controllers", Type: "list", Desc: "swept subflow controllers (default: every registered one + plain)"},
@@ -67,7 +53,7 @@ func init() {
 // and refresh/ndiffports — whose extra subflows all share the lossy
 // primary interface — actively hurt, spreading blocks across many
 // RTO-prone subflows.
-func ctlSweepSpec(cfg CtlSweepConfig) (*scenario.Spec, error) {
+func ctlSweepSpec(cfg ctlSweepConfig) (*scenario.Spec, error) {
 	ctls := cfg.Controllers
 	if len(ctls) == 0 {
 		ctls = smapp.ControllerNames()
@@ -78,13 +64,7 @@ func ctlSweepSpec(cfg CtlSweepConfig) (*scenario.Spec, error) {
 		}
 	}
 
-	streamCfg := Fig2bConfig{
-		Sched:     cfg.Sched,
-		Blocks:    cfg.Blocks,
-		Period:    cfg.Period,
-		BlockSize: cfg.BlockSize,
-		LossAt:    cfg.LossAt,
-	}
+	streamCfg := fig2bConfig{Sched: cfg.Sched, Blocks: cfg.Blocks, Period: streamPeriod, BlockSize: streamBlockSize}
 	curves := append(append([]string(nil), ctls...), "none")
 	var runs []*scenario.RunSpec
 	for _, name := range curves {
@@ -99,7 +79,7 @@ func ctlSweepSpec(cfg CtlSweepConfig) (*scenario.Spec, error) {
 		Name:  "ctlsweep",
 		Title: "Controller sweep — §4.3 streaming workload per subflow controller",
 		Desc: fmt.Sprintf("2 x 5 Mbps, 10 ms paths; %d B block every %v; %d blocks; %.0f%% loss",
-			cfg.BlockSize, cfg.Period, cfg.Blocks, cfg.Loss*100),
+			streamBlockSize, streamPeriod, cfg.Blocks, cfg.Loss*100),
 		Runs: runs,
 		Render: func(res *stats.Result, _ []*scenario.Run) {
 			res.Section("CDF of block completion time (seconds) per controller")
@@ -116,13 +96,4 @@ func ctlSweepSpec(cfg CtlSweepConfig) (*scenario.Spec, error) {
 			}
 		},
 	}, nil
-}
-
-// CtlSweep runs the controller sweep (see ctlSweepSpec).
-func CtlSweep(cfg CtlSweepConfig) *Result {
-	sp, err := ctlSweepSpec(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return scenario.Execute(sp, cfg.Seed)
 }

@@ -41,15 +41,11 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 func TestFig2aGoldenSeed1(t *testing.T) {
-	cfg := DefaultFig2a()
-	cfg.Seed = 1
-	checkGolden(t, "fig2a_seed1", Fig2a(cfg).Report)
+	checkGolden(t, "fig2a_seed1", run(t, "fig2a", 1, nil).Report)
 }
 
 func TestLongLivedGoldenSeed1(t *testing.T) {
-	cfg := DefaultLongLived()
-	cfg.Seed = 1
-	checkGolden(t, "longlived_seed1", LongLived(cfg).Report)
+	checkGolden(t, "longlived_seed1", run(t, "longlived", 1, nil).Report)
 }
 
 // The fig2b/fig2c goldens pin the post-scenario-refactor output on
@@ -59,28 +55,19 @@ func TestLongLivedGoldenSeed1(t *testing.T) {
 // shows up here.
 
 func TestFig2bGoldenSeed1(t *testing.T) {
-	cfg := DefaultFig2b()
-	cfg.Seed = 1
-	cfg.Blocks = 40
-	checkGolden(t, "fig2b_seed1", Fig2b(cfg).Report)
+	checkGolden(t, "fig2b_seed1", run(t, "fig2b", 1, map[string]string{"blocks": "40"}).Report)
 }
 
 func TestFig2cGoldenSeed1(t *testing.T) {
-	cfg := DefaultFig2c()
-	cfg.Seed = 1
-	cfg.Trials = 3
-	cfg.FileBytes = 25 << 20
-	checkGolden(t, "fig2c_seed1", Fig2c(cfg).Report)
+	checkGolden(t, "fig2c_seed1", run(t, "fig2c", 1, map[string]string{"trials": "3", "mb": "25"}).Report)
 }
 
 // TestGoldenRunsAreRepeatable guards the golden tests themselves: two
 // fresh runs at the same seed must agree before comparing to disk, so a
 // golden failure always means divergence, never flakiness.
 func TestGoldenRunsAreRepeatable(t *testing.T) {
-	cfg := DefaultFig2a()
-	cfg.Seed = 7
-	a := Fig2a(cfg).Report
-	b := Fig2a(cfg).Report
+	a := run(t, "fig2a", 7, nil).Report
+	b := run(t, "fig2a", 7, nil).Report
 	if a != b {
 		t.Fatal("two fig2a runs at the same seed disagree")
 	}

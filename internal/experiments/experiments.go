@@ -20,14 +20,15 @@
 // Every experiment is expressed as a declarative scenario spec (see
 // internal/scenario) registered under its figure name, so cmd/mpexp can
 // run it generically (`mpexp run fig2a -set loss=0.4`) and sweeps can
-// cross it with any scheduler or controller. The FigX(cfg) functions are
-// typed front doors over the same specs: they build the spec from a
-// config struct and execute it, so tests and benchmarks keep a stable
-// Go-level API.
+// cross it with any scheduler or controller. The package exports nothing:
+// importers link it for its registrations and run every experiment by
+// name through scenario.Build/Job/Execute — the one path cmd/mpexp, the
+// workspace, the benchmarks and the tests share. Each factory writes each
+// parameter's default once, in its Params getter call; -smoke shrinks a
+// fallback default before the read, so an explicit value always wins.
 //
 // Every experiment is deterministic given its seed and returns both a
-// human-readable report and the raw samples/series, so the bench harness
-// and cmd/mpexp share one implementation.
+// human-readable report and the raw samples/series.
 package experiments
 
 import (
@@ -38,11 +39,6 @@ import (
 	_ "repro/internal/fleet"
 	"repro/internal/stats"
 )
-
-// Result is the outcome of one experiment run. It is an alias for the
-// shared stats.Result so the runner, the scenario engine, and the
-// experiments all exchange one type.
-type Result = stats.Result
 
 // sample aliases stats.Sample for brevity inside this package.
 type sample = stats.Sample

@@ -6,16 +6,28 @@ import (
 	"time"
 
 	"repro/internal/mptcp"
+	"repro/internal/scenario"
 	"repro/internal/smapp"
+	"repro/internal/stats"
 )
 
 // These tests assert the SHAPE of the paper's §4 results on scaled-down
 // configurations: who wins, by roughly what factor, where the crossovers
 // fall — not absolute testbed numbers.
 
+// run builds the registered scenario from key=value parameters (nil =
+// its defaults) and executes it at seed: the path mpexp takes.
+func run(t testing.TB, name string, seed int64, params map[string]string) *stats.Result {
+	t.Helper()
+	sp, err := scenario.Build(name, scenario.NewParams(params))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scenario.Execute(sp, seed)
+}
+
 func TestFig2aSmartSwitchesFast(t *testing.T) {
-	cfg := DefaultFig2a()
-	r := Fig2a(cfg)
+	r := run(t, "fig2a", 1, nil)
 	delay := r.Scalars["switch_delay_s"]
 	if delay <= 0 {
 		t.Fatal("backup never used")
@@ -38,10 +50,7 @@ func TestFig2aSmartSwitchesFast(t *testing.T) {
 }
 
 func TestFig2aBaselineTakesMinutes(t *testing.T) {
-	cfg := DefaultFig2a()
-	cfg.Baseline = true
-	cfg.LossRatio = 1.0 // radio blackout
-	r := Fig2a(cfg)
+	r := run(t, "fig2a", 1, map[string]string{"baseline": "true", "loss": "1.0"}) // radio blackout
 	first := r.Scalars["backup_first_data_s"]
 	// The kernel needs its RTO backoff budget (≈15 doublings) before the
 	// pre-established backup carries data: minutes, not seconds. The
@@ -52,12 +61,10 @@ func TestFig2aBaselineTakesMinutes(t *testing.T) {
 }
 
 func TestFig2bShape(t *testing.T) {
-	cfg := DefaultFig2b()
 	// Full-length stream (the default 120 blocks): shorter runs sample
 	// too little of the loss tail for the 4x growth assertion to be
 	// stable across RNG layouts.
-	cfg.LossLevels = []float64{0.10, 0.40}
-	r := Fig2b(cfg)
+	r := run(t, "fig2b", 1, map[string]string{"loss_levels": "0.10,0.40"})
 	smart := r.Samples["smart stream"]
 	low := r.Samples["fullmesh 10% loss"]
 	high := r.Samples["fullmesh 40% loss"]
@@ -80,12 +87,8 @@ func TestFig2bSmartLossInvariance(t *testing.T) {
 	// "our controller provides almost the same CDF of the block delays
 	// for packet loss ratios in the 10-40% range."
 	var p90s []float64
-	for _, loss := range []float64{0.10, 0.40} {
-		cfg := DefaultFig2b()
-		cfg.Blocks = 50
-		cfg.LossLevels = nil
-		cfg.SmartLoss = loss
-		r := Fig2b(cfg)
+	for _, loss := range []string{"0.10", "0.40"} {
+		r := run(t, "fig2b", 1, map[string]string{"blocks": "50", "loss_levels": "", "loss": loss})
 		p90s = append(p90s, r.Samples["smart stream"].Quantile(0.9))
 	}
 	if p90s[1] > 4*p90s[0]+1 {
@@ -94,13 +97,11 @@ func TestFig2bSmartLossInvariance(t *testing.T) {
 }
 
 func TestFig2cShape(t *testing.T) {
-	cfg := DefaultFig2c()
-	cfg.Trials = 5
 	// Scaled to 50 MB: completion scales linearly with size, and the
 	// refresh controller needs a handful of 2.5 s polling rounds to
 	// converge, so very small files would mask its advantage.
-	cfg.FileBytes = 50 << 20
-	r := Fig2c(cfg)
+	const fileBytes = 50 << 20
+	r := run(t, "fig2c", 1, map[string]string{"trials": "5", "mb": "50"})
 	nd := r.Samples["ndiffports"]
 	rf := r.Samples["refresh"]
 	// Refresh must win on median (it converges towards all four paths).
@@ -108,7 +109,7 @@ func TestFig2cShape(t *testing.T) {
 		t.Fatalf("refresh median %.1fs not better than ndiffports %.1fs", rf.Median(), nd.Median())
 	}
 	// Both stay within the single-path worst bound.
-	worst := float64(cfg.FileBytes*8) / 8e6
+	worst := float64(fileBytes*8) / 8e6
 	if nd.Max() > worst*1.2 || rf.Max() > worst*1.2 {
 		t.Fatalf("completion beyond the one-path bound: nd=%.1fs rf=%.1fs worst=%.1fs",
 			nd.Max(), rf.Max(), worst)
@@ -121,9 +122,7 @@ func TestFig2cShape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	cfg := DefaultFig3()
-	cfg.Requests = 150
-	r := Fig3(cfg)
+	r := run(t, "fig3", 1, map[string]string{"requests": "150"})
 	k := r.Samples["kernel"]
 	u := r.Samples["userspace"]
 	if k.N() < 140 || u.N() < 140 {
@@ -140,8 +139,7 @@ func TestFig3Shape(t *testing.T) {
 	}
 	// Under CPU stress the penalty grows but stays bounded (paper: <37µs
 	// on their hardware; our stressed model roughly doubles the base).
-	cfg.Stressed = true
-	rs := Fig3(cfg)
+	rs := run(t, "fig3", 1, map[string]string{"requests": "150", "stressed": "true"})
 	if rs.Scalars["delta_us"] < delta-10 {
 		t.Fatalf("stress did not increase the penalty: %.1f vs %.1f µs",
 			rs.Scalars["delta_us"], delta)
@@ -152,9 +150,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestLongLivedSmartVsPlain(t *testing.T) {
-	cfg := DefaultLongLived()
-	cfg.Messages = 6
-	smart := LongLived(cfg)
+	smart := run(t, "longlived", 1, map[string]string{"messages": "6"})
 	if smart.Scalars["messages_delivered"] != smart.Scalars["messages_sent"] {
 		t.Fatalf("smart controller lost messages: %+v", smart.Scalars)
 	}
@@ -164,8 +160,8 @@ func TestLongLivedSmartVsPlain(t *testing.T) {
 	if smart.Scalars["live_subflows_at_end"] == 0 {
 		t.Fatal("no live subflows at the end")
 	}
-	cfg.Policy = "" // the nil policy: same stack, no controller
-	plain := LongLived(cfg)
+	// The nil policy: same stack, no controller.
+	plain := run(t, "longlived", 1, map[string]string{"messages": "6", "plain": "true"})
 	if plain.Scalars["messages_delivered"] >= plain.Scalars["messages_sent"] {
 		t.Fatal("plain stack should lose messages once NAT state expires")
 	}
@@ -173,26 +169,20 @@ func TestLongLivedSmartVsPlain(t *testing.T) {
 
 func TestReportsRenderable(t *testing.T) {
 	// Every report must include its section headers and summaries.
-	cfg2b := DefaultFig2b()
-	cfg2b.Blocks = 10
-	cfg2b.LossLevels = []float64{0.10}
-	r := Fig2b(cfg2b)
+	r := run(t, "fig2b", 1, map[string]string{"blocks": "10", "loss_levels": "0.10"})
 	for _, want := range []string{"Fig. 2b", "CDF", "summary", "smart stream"} {
 		if !strings.Contains(r.Report, want) {
 			t.Fatalf("report missing %q:\n%s", want, r.Report)
 		}
 	}
-	cfg3 := DefaultFig3()
-	cfg3.Requests = 10
-	if !strings.Contains(Fig3(cfg3).Report, "userspace penalty") {
+	if !strings.Contains(run(t, "fig3", 1, map[string]string{"requests": "10"}).Report, "userspace penalty") {
 		t.Fatal("fig3 report incomplete")
 	}
 }
 
 func TestSchedSweepCoversAllSchedulers(t *testing.T) {
-	cfg := DefaultSchedSweep()
-	cfg.Blocks = 10
-	r := SchedSweep(cfg)
+	const blocks = 10
+	r := run(t, "schedsweep", 1, map[string]string{"blocks": "10"})
 	names := mptcp.SchedulerNames()
 	if len(names) < 4 {
 		t.Fatalf("registry too small: %v", names)
@@ -202,8 +192,8 @@ func TestSchedSweepCoversAllSchedulers(t *testing.T) {
 		if !ok {
 			t.Fatalf("scheduler %q missing from samples", name)
 		}
-		if s.N() != cfg.Blocks {
-			t.Fatalf("scheduler %q: %d blocks sampled, want %d", name, s.N(), cfg.Blocks)
+		if s.N() != blocks {
+			t.Fatalf("scheduler %q: %d blocks sampled, want %d", name, s.N(), blocks)
 		}
 		if _, ok := r.Scalars[name+"_p90_s"]; !ok {
 			t.Fatalf("scheduler %q missing p90 scalar", name)
@@ -215,9 +205,8 @@ func TestSchedSweepCoversAllSchedulers(t *testing.T) {
 }
 
 func TestCtlSweepCoversAllControllers(t *testing.T) {
-	cfg := DefaultCtlSweep()
-	cfg.Blocks = 10
-	r := CtlSweep(cfg)
+	const blocks = 10
+	r := run(t, "ctlsweep", 1, map[string]string{"blocks": "10"})
 	names := smapp.ControllerNames()
 	if len(names) < 5 {
 		t.Fatalf("registry too small: %v", names)
@@ -227,8 +216,8 @@ func TestCtlSweepCoversAllControllers(t *testing.T) {
 		if !ok {
 			t.Fatalf("controller %q missing from samples", name)
 		}
-		if s.N() != cfg.Blocks {
-			t.Fatalf("controller %q: %d blocks sampled, want %d", name, s.N(), cfg.Blocks)
+		if s.N() != blocks {
+			t.Fatalf("controller %q: %d blocks sampled, want %d", name, s.N(), blocks)
 		}
 		if _, ok := r.Scalars[name+"_p90_s"]; !ok {
 			t.Fatalf("controller %q missing p90 scalar", name)
@@ -240,14 +229,12 @@ func TestCtlSweepCoversAllControllers(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	cfg := DefaultFig2a()
-	a := Fig2a(cfg)
-	b := Fig2a(cfg)
+	a := run(t, "fig2a", 1, nil)
+	b := run(t, "fig2a", 1, nil)
 	if a.Scalars["switch_delay_s"] != b.Scalars["switch_delay_s"] {
 		t.Fatal("identical seeds diverged")
 	}
-	cfg.Seed = 2
-	c := Fig2a(cfg)
+	c := run(t, "fig2a", 2, nil)
 	if a.Scalars["switch_delay_s"] == c.Scalars["switch_delay_s"] {
 		t.Log("note: different seeds produced identical switch delay (possible but unusual)")
 	}
@@ -258,13 +245,13 @@ func TestFig2aThresholdMonotonicity(t *testing.T) {
 	// A larger RTO threshold cannot make the switch happen earlier. An
 	// aggressive 500 ms threshold may even trip on slow-start congestion
 	// BEFORE the radio degrades — a false positive worth documenting.
-	cfg := DefaultFig2a()
-	cfg.Duration = 120 * time.Second // give the 2s threshold time to trip
-	cfg.LossRatio = 0.5              // frequent backoff chains
 	var at []float64
 	for _, th := range []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second} {
-		cfg.Threshold = th
-		r := Fig2a(cfg)
+		r := run(t, "fig2a", 1, map[string]string{
+			"duration":  "120s", // give the 2s threshold time to trip
+			"loss":      "0.5",  // frequent backoff chains
+			"threshold": th.String(),
+		})
 		if r.Scalars["switches"] != 1 {
 			t.Fatalf("threshold %v: switches = %v", th, r.Scalars["switches"])
 		}

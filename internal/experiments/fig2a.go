@@ -12,9 +12,8 @@ import (
 	"repro/internal/stats"
 )
 
-// Fig2aConfig parameterises the §4.2 smart-backup experiment.
-type Fig2aConfig struct {
-	Seed      int64
+// fig2aConfig parameterises the §4.2 smart-backup experiment.
+type fig2aConfig struct {
 	Sched     string        // registered scheduler name; "" = lowest-rtt
 	Policy    string        // registered controller for the smart mode (paper: backup)
 	LossRatio float64       // loss on the primary path after LossAt (paper: 0.30)
@@ -24,37 +23,30 @@ type Fig2aConfig struct {
 	Baseline  bool          // run the in-kernel pre-established-backup baseline instead
 }
 
-// DefaultFig2a returns the paper's parameters.
-func DefaultFig2a() Fig2aConfig {
-	return Fig2aConfig{
-		Seed:      1,
-		Policy:    "backup",
-		LossRatio: 0.30,
-		LossAt:    time.Second,
-		Threshold: time.Second,
-		Duration:  8 * time.Second,
-	}
-}
-
 func init() {
 	scenario.Register("fig2a",
 		"smart backup (§4.2): RTO-triggered switch to the backup path vs the in-kernel baseline",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultFig2a()
-			cfg.Sched = p.Str("sched", cfg.Sched)
-			cfg.Policy = p.Str("policy", cfg.Policy)
-			cfg.Baseline = p.Bool("baseline", false)
-			if cfg.Baseline {
-				cfg.LossRatio = 1.0 // radio blackout, as the kernel baseline is measured
-			}
-			cfg.LossRatio = p.Float("loss", cfg.LossRatio)
-			cfg.LossAt = p.Duration("loss_at", cfg.LossAt)
-			cfg.Threshold = p.Duration("threshold", cfg.Threshold)
-			cfg.Duration = p.Duration("duration", cfg.Duration)
+			// The paper's parameters; smoke shrinks the observation
+			// window before the read, so an explicit -set still wins.
+			duration := 8 * time.Second
 			if p.Bool("smoke", false) {
-				cfg.Duration = 4 * time.Second
+				duration = 4 * time.Second
 			}
-			return fig2aSpec(cfg), nil
+			baseline := p.Bool("baseline", false)
+			loss := 0.30
+			if baseline {
+				loss = 1.0 // radio blackout, as the kernel baseline is measured
+			}
+			return fig2aSpec(fig2aConfig{
+				Sched:     p.Str("sched", ""),
+				Policy:    p.Str("policy", "backup"),
+				LossRatio: p.Float("loss", loss),
+				LossAt:    p.Duration("loss_at", time.Second),
+				Threshold: p.Duration("threshold", time.Second),
+				Duration:  p.Duration("duration", duration),
+				Baseline:  baseline,
+			}), nil
 		})
 	scenario.RegisterParams("fig2a",
 		scenario.ParamDoc{Key: "baseline", Type: "bool", Default: "false", Desc: "run the in-kernel pre-established-backup baseline (implies loss=1.0)"},
@@ -73,7 +65,7 @@ func init() {
 // With Baseline the backup subflow is pre-established with the RFC 6824
 // backup flag on a plain kernel stack, and the kernel alone decides —
 // which takes ~15 RTO backoffs (minutes).
-func fig2aSpec(cfg Fig2aConfig) *scenario.Spec {
+func fig2aSpec(cfg fig2aConfig) *scenario.Spec {
 	mode := fmt.Sprintf("smart controller (userspace %q policy)", cfg.Policy)
 	policy := cfg.Policy
 	var kernelPM func() mptcp.PathManager
@@ -172,9 +164,4 @@ func fig2aSpec(cfg Fig2aConfig) *scenario.Spec {
 			res.Printf("receiver got %.2f MB in the observation window\n", float64(wl.Sink.Received)/1e6)
 		},
 	}
-}
-
-// Fig2a runs the smart-backup experiment (see fig2aSpec).
-func Fig2a(cfg Fig2aConfig) *Result {
-	return scenario.Execute(fig2aSpec(cfg), cfg.Seed)
 }

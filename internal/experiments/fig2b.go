@@ -12,9 +12,8 @@ import (
 	"repro/internal/stats"
 )
 
-// Fig2bConfig parameterises the §4.3 smart-streaming experiment.
-type Fig2bConfig struct {
-	Seed       int64
+// fig2bConfig parameterises the §4.3 smart-streaming experiment.
+type fig2bConfig struct {
 	Sched      string        // registered scheduler name; "" = lowest-rtt
 	Policy     string        // registered controller for the smart curve (paper: stream)
 	LossLevels []float64     // loss ratios for the full-mesh baseline curves
@@ -22,43 +21,38 @@ type Fig2bConfig struct {
 	Blocks     int           // blocks per run
 	Period     time.Duration // 1 s
 	BlockSize  int           // 64 KB
-	LossAt     time.Duration // loss starts after this settle time
-	ProbeAt    time.Duration // controller's intra-block probe point (default 500 ms)
+	ProbeAt    time.Duration // controller's intra-block probe point (0 = its 500 ms)
 }
 
-// DefaultFig2b returns the paper's parameters: 2×5 Mbps / 10 ms paths,
-// 64 KB per second, losses 10–40 %.
-func DefaultFig2b() Fig2bConfig {
-	return Fig2bConfig{
-		Seed:       1,
-		Policy:     "stream",
-		LossLevels: []float64{0.10, 0.20, 0.30, 0.40},
-		SmartLoss:  0.30,
-		Blocks:     120,
-		Period:     time.Second,
-		BlockSize:  64 << 10,
-		LossAt:     time.Second,
-	}
-}
+// The §4.3 streaming workload fig2b, schedsweep and ctlsweep share: one
+// 64 KB block per second, with loss on the primary path from 1 s on.
+const (
+	streamPeriod    = time.Second
+	streamBlockSize = 64 << 10
+	streamLossAt    = time.Second
+)
 
 func init() {
 	scenario.Register("fig2b",
 		"smart streaming (§4.3): CDFs of 64 KB block completion times, full-mesh per loss level vs the stream controller",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultFig2b()
-			cfg.Sched = p.Str("sched", cfg.Sched)
-			cfg.Policy = p.Str("policy", cfg.Policy)
-			cfg.LossLevels = p.Floats("loss_levels", cfg.LossLevels)
-			cfg.SmartLoss = p.Float("loss", cfg.SmartLoss)
-			cfg.Blocks = p.Int("blocks", cfg.Blocks)
-			cfg.Period = p.Duration("period", cfg.Period)
-			cfg.BlockSize = p.Int("block_size", cfg.BlockSize)
-			cfg.ProbeAt = p.Duration("probe_at", cfg.ProbeAt)
+			// The paper's parameters: 2×5 Mbps / 10 ms paths, 64 KB per
+			// second, losses 10–40 %. Smoke shrinks the defaults before
+			// the reads, so an explicit -set still wins.
+			blocks, levels := 120, []float64{0.10, 0.20, 0.30, 0.40}
 			if p.Bool("smoke", false) {
-				cfg.Blocks = 10
-				cfg.LossLevels = []float64{0.30}
+				blocks, levels = 10, []float64{0.30}
 			}
-			return fig2bSpec(cfg), nil
+			return fig2bSpec(fig2bConfig{
+				Sched:      p.Str("sched", ""),
+				Policy:     p.Str("policy", "stream"),
+				LossLevels: p.Floats("loss_levels", levels),
+				SmartLoss:  p.Float("loss", 0.30),
+				Blocks:     p.Int("blocks", blocks),
+				Period:     p.Duration("period", streamPeriod),
+				BlockSize:  p.Int("block_size", streamBlockSize),
+				ProbeAt:    p.Duration("probe_at", 0),
+			}), nil
 		})
 	scenario.RegisterParams("fig2b",
 		scenario.ParamDoc{Key: "loss_levels", Type: "list", Default: "0.10,0.20,0.30,0.40", Desc: "loss ratios of the full-mesh baseline curves"},
@@ -66,16 +60,17 @@ func init() {
 		scenario.ParamDoc{Key: "blocks", Type: "int", Default: "120", Desc: "blocks per curve"},
 		scenario.ParamDoc{Key: "period", Type: "duration", Default: "1s", Desc: "block emission period"},
 		scenario.ParamDoc{Key: "block_size", Type: "int", Default: "65536", Desc: "bytes per block"},
-		scenario.ParamDoc{Key: "probe_at", Type: "duration", Desc: "when the stream controller probes the second path (0 = immediately)"},
+		scenario.ParamDoc{Key: "probe_at", Type: "duration", Default: "500ms", Desc: "offset into each block at which the stream controller checks progress (0 also means 500ms)"},
 	)
 }
 
 // streamRun declares one §4.3 streaming session: the two-path topology,
-// the block-streaming workload, loss on the primary path from LossAt on,
-// and the per-block delays collected under the given curve name. The
-// empty policy runs the in-kernel full-mesh baseline. fig2b, ctlsweep,
-// and schedsweep all sweep the policy space through this one run shape.
-func streamRun(cfg Fig2bConfig, loss float64, policy, curve string) *scenario.RunSpec {
+// the block-streaming workload, loss on the primary path from
+// streamLossAt on, and the per-block delays collected under the given
+// curve name. The empty policy runs the in-kernel full-mesh baseline.
+// fig2b, ctlsweep, and schedsweep all sweep the policy space through
+// this one run shape.
+func streamRun(cfg fig2bConfig, loss float64, policy, curve string) *scenario.RunSpec {
 	p := netem.LinkConfig{RateBps: 5e6, Delay: 10 * time.Millisecond}
 	wl := &scenario.BlockStream{Period: cfg.Period, BlockSize: cfg.BlockSize, Blocks: cfg.Blocks}
 	var kernelPM func() mptcp.PathManager
@@ -99,7 +94,7 @@ func streamRun(cfg Fig2bConfig, loss float64, policy, curve string) *scenario.Ru
 		},
 		KernelPM: kernelPM,
 		Settle:   time.Millisecond,
-		Events:   []scenario.Event{scenario.SetLossAt(cfg.LossAt, "path0", loss)},
+		Events:   []scenario.Event{scenario.SetLossAt(streamLossAt, "path0", loss)},
 		Stop:     scenario.Stop{Horizon: horizon},
 		Probes: []scenario.Probe{
 			{Name: curve, Collect: func(rt *scenario.Run) {
@@ -113,7 +108,7 @@ func streamRun(cfg Fig2bConfig, loss float64, policy, curve string) *scenario.Ru
 // under the default full-mesh path manager, plus the Smart Stream
 // controller curve, rendered as the paper's CDF of block completion
 // times.
-func fig2bSpec(cfg Fig2bConfig) *scenario.Spec {
+func fig2bSpec(cfg fig2bConfig) *scenario.Spec {
 	var runs []*scenario.RunSpec
 	var names []string
 	for _, loss := range cfg.LossLevels {
@@ -148,9 +143,4 @@ func fig2bSpec(cfg Fig2bConfig) *scenario.Spec {
 			}
 		},
 	}
-}
-
-// Fig2b runs the streaming experiment (see fig2bSpec).
-func Fig2b(cfg Fig2bConfig) *Result {
-	return scenario.Execute(fig2bSpec(cfg), cfg.Seed)
 }

@@ -13,9 +13,8 @@ import (
 	"repro/internal/tcp"
 )
 
-// Fig2cConfig parameterises the §4.4 ECMP experiment.
-type Fig2cConfig struct {
-	Seed      int64
+// fig2cConfig parameterises the §4.4 ECMP experiment.
+type fig2cConfig struct {
 	Sched     string // registered scheduler name; "" = lowest-rtt
 	Policy    string // registered controller for the smart variant (paper: refresh)
 	Trials    int    // independent runs per variant (different hash seeds/ports)
@@ -24,28 +23,25 @@ type Fig2cConfig struct {
 	Paths     int    // 4 in the paper
 }
 
-// DefaultFig2c returns the paper's parameters: 100 MB over 5 subflows on a
-// 4-path 8 Mbps fabric with 10/20/30/40 ms delays.
-func DefaultFig2c() Fig2cConfig {
-	return Fig2cConfig{Seed: 1, Policy: "refresh", Trials: 20, FileBytes: 100 << 20, Subflows: 5, Paths: 4}
-}
-
 func init() {
 	scenario.Register("fig2c",
 		"ECMP load balancing (§4.4): 100 MB completion CDFs, in-kernel ndiffports vs the refresh controller",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultFig2c()
-			cfg.Sched = p.Str("sched", cfg.Sched)
-			cfg.Policy = p.Str("policy", cfg.Policy)
-			cfg.Trials = p.Int("trials", cfg.Trials)
-			cfg.FileBytes = p.Int("mb", cfg.FileBytes>>20) << 20
-			cfg.Subflows = p.Int("subflows", cfg.Subflows)
-			cfg.Paths = p.Int("paths", cfg.Paths)
+			// The paper's parameters: 100 MB over 5 subflows on a 4-path
+			// 8 Mbps fabric with 10/20/30/40 ms delays. Smoke shrinks the
+			// defaults before the reads, so an explicit -set still wins.
+			trials, mb := 20, 100
 			if p.Bool("smoke", false) {
-				cfg.Trials = 2
-				cfg.FileBytes = 10 << 20
+				trials, mb = 2, 10
 			}
-			return fig2cSpec(cfg), nil
+			return fig2cSpec(fig2cConfig{
+				Sched:     p.Str("sched", ""),
+				Policy:    p.Str("policy", "refresh"),
+				Trials:    p.Int("trials", trials),
+				FileBytes: p.Int("mb", mb) << 20,
+				Subflows:  p.Int("subflows", 5),
+				Paths:     p.Int("paths", 4),
+			}), nil
 		})
 	scenario.RegisterParams("fig2c",
 		scenario.ParamDoc{Key: "trials", Type: "int", Default: "20", Desc: "trials per variant"},
@@ -60,7 +56,7 @@ func init() {
 // ndiffports path manager. Each trial offsets its seed by 1000 so the
 // fabric hash and source ports draw independent randomness, and both
 // variants of a trial share that seed.
-func fig2cRun(cfg Fig2cConfig, trial int, refresh bool) *scenario.RunSpec {
+func fig2cRun(cfg fig2cConfig, trial int, refresh bool) *scenario.RunSpec {
 	var paths []netem.LinkConfig
 	for i := 0; i < cfg.Paths; i++ {
 		paths = append(paths, netem.LinkConfig{
@@ -129,7 +125,7 @@ func fig2cRun(cfg Fig2cConfig, trial int, refresh bool) *scenario.RunSpec {
 // ndiffports clustering around 28/37/55 s (5 subflows hashed onto 4/3/2
 // distinct paths) while refresh converges to all four paths; bounds are
 // 27.8 s (four paths) and 111.7 s (one path).
-func fig2cSpec(cfg Fig2cConfig) *scenario.Spec {
+func fig2cSpec(cfg fig2cConfig) *scenario.Spec {
 	var runs []*scenario.RunSpec
 	for trial := 0; trial < cfg.Trials; trial++ {
 		runs = append(runs, fig2cRun(cfg, trial, false), fig2cRun(cfg, trial, true))
@@ -164,9 +160,4 @@ func fig2cSpec(cfg Fig2cConfig) *scenario.Spec {
 			res.Scalars["refresh_max_s"] = refresh.Max()
 		},
 	}
-}
-
-// Fig2c runs the load-balancing experiment (see fig2cSpec).
-func Fig2c(cfg Fig2cConfig) *Result {
-	return scenario.Execute(fig2cSpec(cfg), cfg.Seed)
 }

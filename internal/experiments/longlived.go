@@ -10,9 +10,8 @@ import (
 	"repro/internal/stats"
 )
 
-// LongLivedConfig parameterises the §4.1 long-lived-connection experiment.
-type LongLivedConfig struct {
-	Seed        int64
+// longLivedConfig parameterises the §4.1 long-lived-connection experiment.
+type longLivedConfig struct {
 	Sched       string        // registered scheduler name; "" = lowest-rtt
 	Policy      string        // registered controller; "" = the plain stack (nil policy)
 	NATTimeout  time.Duration // middlebox idle timeout (deployed boxes: a few hundred seconds)
@@ -24,43 +23,32 @@ type LongLivedConfig struct {
 	FlapFor     time.Duration
 }
 
-// DefaultLongLived returns a scenario with a 180 s NAT timeout and a chat
-// message every 10 minutes — the keepalive battle of §4.1.
-func DefaultLongLived() LongLivedConfig {
-	return LongLivedConfig{
-		Seed:        1,
-		Policy:      "fullmesh",
-		NATTimeout:  180 * time.Second,
-		Expiry:      netem.ExpiryRST,
-		MsgInterval: 10 * time.Minute,
-		Messages:    12,
-		MsgSize:     2000,
-		FlapAt:      25 * time.Minute,
-		FlapFor:     2 * time.Minute,
-	}
-}
-
 func init() {
 	scenario.Register("longlived",
 		"long-lived connections (§4.1): chat through a NAT with idle timeouts, smart full-mesh vs plain stack",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultLongLived()
-			cfg.Sched = p.Str("sched", cfg.Sched)
-			cfg.Policy = p.Str("policy", cfg.Policy)
-			if p.Bool("plain", false) {
-				cfg.Policy = "" // the nil policy: same stack, no controller
-			}
-			cfg.NATTimeout = p.Duration("nat_timeout", cfg.NATTimeout)
-			cfg.MsgInterval = p.Duration("interval", cfg.MsgInterval)
-			cfg.Messages = p.Int("messages", cfg.Messages)
-			cfg.MsgSize = p.Int("msg_size", cfg.MsgSize)
-			cfg.FlapAt = p.Duration("flap_at", cfg.FlapAt)
-			cfg.FlapFor = p.Duration("flap_for", cfg.FlapFor)
+			// A 180 s NAT timeout and a chat message every 10 minutes —
+			// the keepalive battle of §4.1. Smoke shrinks the defaults
+			// before the reads, so an explicit -set still wins.
+			messages, flapAt := 12, 25*time.Minute
 			if p.Bool("smoke", false) {
-				cfg.Messages = 4
-				cfg.FlapAt = 15 * time.Minute
+				messages, flapAt = 4, 15*time.Minute
 			}
-			return longLivedSpec(cfg), nil
+			policy := p.Str("policy", "fullmesh")
+			if p.Bool("plain", false) {
+				policy = "" // the nil policy: same stack, no controller
+			}
+			return longLivedSpec(longLivedConfig{
+				Sched:       p.Str("sched", ""),
+				Policy:      policy,
+				NATTimeout:  p.Duration("nat_timeout", 180*time.Second),
+				Expiry:      netem.ExpiryRST,
+				MsgInterval: p.Duration("interval", 10*time.Minute),
+				Messages:    p.Int("messages", messages),
+				MsgSize:     p.Int("msg_size", 2000),
+				FlapAt:      p.Duration("flap_at", flapAt),
+				FlapFor:     p.Duration("flap_for", 2*time.Minute),
+			}), nil
 		})
 	scenario.RegisterParams("longlived",
 		scenario.ParamDoc{Key: "plain", Type: "bool", Default: "false", Desc: "run the nil policy (plain-stack baseline)"},
@@ -79,7 +67,7 @@ func init() {
 // re-established with error-specific backoff and every message is
 // eventually delivered; the plain stack loses its only subflow at the
 // first expiry and stalls.
-func longLivedSpec(cfg LongLivedConfig) *scenario.Spec {
+func longLivedSpec(cfg longLivedConfig) *scenario.Spec {
 	mode := fmt.Sprintf("userspace %q controller", cfg.Policy)
 	if cfg.Policy == "" {
 		mode = "plain stack (nil policy)"
@@ -144,11 +132,6 @@ func longLivedSpec(cfg LongLivedConfig) *scenario.Spec {
 			res.Printf("live subflows at end: %d\n", len(rt.Conn.Subflows()))
 		},
 	}
-}
-
-// LongLived runs the §4.1 scenario (see longLivedSpec).
-func LongLived(cfg LongLivedConfig) *Result {
-	return scenario.Execute(longLivedSpec(cfg), cfg.Seed)
 }
 
 func expiryName(p netem.ExpiryPolicy) string {

@@ -13,11 +13,10 @@ import (
 	"repro/internal/stats"
 )
 
-// ScaleConfig parameterises the stress workload: N concurrent Multipath
+// scaleConfig parameterises the stress workload: N concurrent Multipath
 // TCP connections × M subflows each, streaming simultaneously through one
 // shared bottleneck, swept over packet schedulers and subflow controllers.
-type ScaleConfig struct {
-	Seed         int64
+type scaleConfig struct {
 	Conns        int           // concurrent connections, one client host each
 	Subflows     int           // interfaces per client (→ subflows via full-mesh)
 	Servers      int           // server hosts behind the aggregation, dialed round-robin (0 = 1)
@@ -28,55 +27,42 @@ type ScaleConfig struct {
 	Bottleneck   float64       // shared bottleneck rate
 	Delay        time.Duration // one-way access-path delay
 	Horizon      time.Duration // simulation cutoff
-}
-
-// KernelController names the in-kernel full-mesh baseline cell of the
-// controller sweep (no userspace control plane at all).
-const KernelController = scenario.KernelPolicy
-
-// DefaultScale returns a bench-sized stress scenario: 16 clients × 2
-// subflows pushing 1 MB each through a 200 Mbps bottleneck.
-func DefaultScale() ScaleConfig {
-	return ScaleConfig{
-		Seed:         1,
-		Conns:        16,
-		Subflows:     2,
-		BytesPerConn: 1 << 20,
-		AccessBps:    50e6,
-		Bottleneck:   200e6,
-		Delay:        10 * time.Millisecond,
-		Horizon:      2 * time.Minute,
-	}
+	Wall         bool          // report the wall-clock throughput section
 }
 
 func init() {
 	scenario.Register("scale",
 		"scale stress: N conns × M subflows through a shared bottleneck, swept over schedulers × controllers",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultScale()
-			cfg.Conns = p.Int("conns", cfg.Conns)
-			cfg.Subflows = p.Int("subflows", cfg.Subflows)
-			cfg.Servers = p.Int("servers", cfg.Servers)
-			cfg.BytesPerConn = p.Int("kb", cfg.BytesPerConn>>10) << 10
-			if s := p.Str("sched", ""); s != "" {
-				cfg.Schedulers = []string{s} // sweep a single scheduler
-			}
-			cfg.Schedulers = p.Strings("schedulers", cfg.Schedulers)
-			if c := p.Str("policy", ""); c != "" {
-				cfg.Controllers = []string{c}
-			}
-			cfg.Controllers = p.Strings("controllers", cfg.Controllers)
+			// A bench-sized stress scenario: 16 clients × 2 subflows
+			// pushing 1 MB each through a 200 Mbps bottleneck. Smoke
+			// shrinks the defaults before the reads, so an explicit -set
+			// (or -sched) still wins.
+			conns, kb := 16, 1024
+			var scheds []string
 			if p.Bool("smoke", false) {
-				cfg.Conns = 4
-				cfg.BytesPerConn = 128 << 10
-				cfg.Schedulers = []string{"lowest-rtt"}
+				conns, kb, scheds = 4, 128, []string{"lowest-rtt"}
 			}
-			wall := p.Bool("wall", true)
-			sp, err := scaleSpec(cfg, wall)
-			if err != nil {
-				return nil, err
+			if s := p.Str("sched", ""); s != "" {
+				scheds = []string{s} // sweep a single scheduler
 			}
-			return sp, nil
+			var ctls []string
+			if c := p.Str("policy", ""); c != "" {
+				ctls = []string{c}
+			}
+			return scaleSpec(scaleConfig{
+				Conns:        p.Int("conns", conns),
+				Subflows:     p.Int("subflows", 2),
+				Servers:      p.Int("servers", 0),
+				BytesPerConn: p.Int("kb", kb) << 10,
+				Schedulers:   p.Strings("schedulers", scheds),
+				Controllers:  p.Strings("controllers", ctls),
+				AccessBps:    50e6,
+				Bottleneck:   200e6,
+				Delay:        10 * time.Millisecond,
+				Horizon:      2 * time.Minute,
+				Wall:         p.Bool("wall", true),
+			})
 		})
 	scenario.RegisterParams("scale",
 		scenario.ParamDoc{Key: "conns", Type: "int", Default: "16", Desc: "concurrent connections (one client host each)"},
@@ -107,16 +93,16 @@ type scaleCell struct {
 // (completions, goodput, drops) are deterministic per seed; the
 // wall-clock throughput scalars (segs_per_wall_s, events_per_wall_s)
 // measure the host executing the simulation and feed the performance
-// trajectory in the bench artifact. wall=false suppresses the wall-clock
+// trajectory in the bench artifact. Wall=false suppresses the wall-clock
 // report section (it would break report determinism checks).
-func scaleSpec(cfg ScaleConfig, wall bool) (*scenario.Spec, error) {
+func scaleSpec(cfg scaleConfig) (*scenario.Spec, error) {
 	scheds := cfg.Schedulers
 	if len(scheds) == 0 {
 		scheds = []string{"lowest-rtt", "round-robin"}
 	}
 	ctls := cfg.Controllers
 	if len(ctls) == 0 {
-		ctls = []string{KernelController}
+		ctls = []string{scenario.KernelPolicy}
 	}
 	for _, name := range scheds {
 		if _, err := mptcp.LookupScheduler(name); err != nil {
@@ -124,7 +110,7 @@ func scaleSpec(cfg ScaleConfig, wall bool) (*scenario.Spec, error) {
 		}
 	}
 	for _, name := range ctls {
-		if name == KernelController {
+		if name == scenario.KernelPolicy {
 			continue
 		}
 		if _, err := smapp.LookupController(name); err != nil {
@@ -199,7 +185,7 @@ func scaleSpec(cfg ScaleConfig, wall bool) (*scenario.Spec, error) {
 				// the name (benchgate owns its regression thresholds).
 				res.MarkWallClock("segs_per_wall_s", "events_per_wall_s")
 			}
-			if wall && wallS > 0 {
+			if cfg.Wall && wallS > 0 {
 				res.Section("host throughput (wall clock)")
 				res.Printf("delivered %d packets / processed %d events in %v: %.0f segs/s, %.0f events/s\n",
 					totalPkts, totalEvents, totalWall.Round(time.Millisecond),
@@ -210,7 +196,7 @@ func scaleSpec(cfg ScaleConfig, wall bool) (*scenario.Spec, error) {
 }
 
 // scaleCellOf reduces one fan-out run to its sweep-matrix row.
-func scaleCellOf(cfg ScaleConfig, rt *scenario.Run) scaleCell {
+func scaleCellOf(cfg scaleConfig, rt *scenario.Run) scaleCell {
 	wl := rt.Spec.Workload.(*scenario.FanOut)
 	cell := scaleCell{sched: rt.Spec.Sched, ctl: rt.Spec.Policy}
 	delays := &sample{}
@@ -248,13 +234,4 @@ func scaleCellOf(cfg ScaleConfig, rt *scenario.Run) scaleCell {
 	cell.events = rt.Sim.Processed()
 	cell.wall = rt.Wall
 	return cell
-}
-
-// Scale runs the stress matrix (see scaleSpec).
-func Scale(cfg ScaleConfig) *Result {
-	sp, err := scaleSpec(cfg, true)
-	if err != nil {
-		panic(err)
-	}
-	return scenario.Execute(sp, cfg.Seed)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/stats"
 )
 
 // TestEveryScenarioDeterministic runs every registered scenario at the
@@ -24,7 +25,7 @@ func TestEveryScenarioDeterministic(t *testing.T) {
 	}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			once := func(shards int) *Result {
+			once := func(shards int) *stats.Result {
 				p := scenario.NewParams(map[string]string{"smoke": "true"})
 				if name == "scale" {
 					p.Set("wall", "false")
@@ -38,7 +39,7 @@ func TestEveryScenarioDeterministic(t *testing.T) {
 				}
 				return scenario.Execute(sp, 5)
 			}
-			check := func(label string, a, b *Result) {
+			check := func(label string, a, b *stats.Result) {
 				t.Helper()
 				if a.Report != b.Report {
 					t.Fatalf("%s: same-seed reports diverged\n--- first ---\n%s\n--- second ---\n%s", label, a.Report, b.Report)

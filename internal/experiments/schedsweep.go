@@ -2,56 +2,42 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/mptcp"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
-// SchedSweepConfig parameterises the scheduler-sweep experiment.
-type SchedSweepConfig struct {
-	Seed       int64
-	Schedulers []string      // registered names; empty sweeps every one
-	Loss       float64       // loss ratio on the primary path
-	Blocks     int           // blocks per scheduler run
-	Period     time.Duration // one block per period
-	BlockSize  int
-	LossAt     time.Duration // loss starts after this settle time
-}
-
-// DefaultSchedSweep sweeps every registered scheduler over the §4.3
-// streaming workload at 30 % loss.
-func DefaultSchedSweep() SchedSweepConfig {
-	return SchedSweepConfig{
-		Seed:      1,
-		Loss:      0.30,
-		Blocks:    120,
-		Period:    time.Second,
-		BlockSize: 64 << 10,
-		LossAt:    time.Second,
-	}
+// schedSweepConfig parameterises the scheduler-sweep experiment.
+type schedSweepConfig struct {
+	Schedulers []string // registered names; empty sweeps every one
+	Loss       float64  // loss ratio on the primary path
+	Blocks     int      // blocks per scheduler run
 }
 
 func init() {
 	scenario.Register("schedsweep",
 		"scheduler sweep: the §4.3 streaming workload once per registered packet scheduler",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultSchedSweep()
+			// Every registered scheduler over the §4.3 streaming workload
+			// at 30 % loss; smoke shrinks the default before the read.
+			blocks := 120
+			if p.Bool("smoke", false) {
+				blocks = 10
+			}
 			// The scheduler sweep has no controller dimension; the policy
 			// param is consumed and ignored so blanket overrides
 			// (`mpexp all -controller X`) pass through, as the old CLI did.
 			p.Str("policy", "")
+			var scheds []string
 			if s := p.Str("sched", ""); s != "" {
-				cfg.Schedulers = []string{s} // sweep a single policy
+				scheds = []string{s} // sweep a single policy
 			}
-			cfg.Schedulers = p.Strings("schedulers", cfg.Schedulers)
-			cfg.Loss = p.Float("loss", cfg.Loss)
-			cfg.Blocks = p.Int("blocks", cfg.Blocks)
-			if p.Bool("smoke", false) {
-				cfg.Blocks = 10
-			}
-			return schedSweepSpec(cfg)
+			return schedSweepSpec(schedSweepConfig{
+				Schedulers: p.Strings("schedulers", scheds),
+				Loss:       p.Float("loss", 0.30),
+				Blocks:     p.Int("blocks", blocks),
+			})
 		})
 	scenario.RegisterParams("schedsweep",
 		scenario.ParamDoc{Key: "schedulers", Type: "list", Desc: "swept packet schedulers (default: every registered one)"},
@@ -68,7 +54,7 @@ func init() {
 // kernel default, round-robin the classic alternative, redundant the
 // latency-optimal bound, and weighted-rtt the probabilistic middle
 // ground.
-func schedSweepSpec(cfg SchedSweepConfig) (*scenario.Spec, error) {
+func schedSweepSpec(cfg schedSweepConfig) (*scenario.Spec, error) {
 	scheds := cfg.Schedulers
 	if len(scheds) == 0 {
 		scheds = mptcp.SchedulerNames()
@@ -81,13 +67,7 @@ func schedSweepSpec(cfg SchedSweepConfig) (*scenario.Spec, error) {
 
 	var runs []*scenario.RunSpec
 	for _, name := range scheds {
-		streamCfg := Fig2bConfig{
-			Sched:     name,
-			Blocks:    cfg.Blocks,
-			Period:    cfg.Period,
-			BlockSize: cfg.BlockSize,
-			LossAt:    cfg.LossAt,
-		}
+		streamCfg := fig2bConfig{Sched: name, Blocks: cfg.Blocks, Period: streamPeriod, BlockSize: streamBlockSize}
 		runs = append(runs, streamRun(streamCfg, cfg.Loss, "", name))
 	}
 
@@ -95,7 +75,7 @@ func schedSweepSpec(cfg SchedSweepConfig) (*scenario.Spec, error) {
 		Name:  "schedsweep",
 		Title: "Scheduler sweep — §4.3 streaming workload per scheduler",
 		Desc: fmt.Sprintf("2 x 5 Mbps, 10 ms paths; %d B block every %v; %d blocks; %.0f%% loss; full-mesh PM",
-			cfg.BlockSize, cfg.Period, cfg.Blocks, cfg.Loss*100),
+			streamBlockSize, streamPeriod, cfg.Blocks, cfg.Loss*100),
 		Runs: runs,
 		Render: func(res *stats.Result, _ []*scenario.Run) {
 			res.Section("CDF of block completion time (seconds) per scheduler")
@@ -112,13 +92,4 @@ func schedSweepSpec(cfg SchedSweepConfig) (*scenario.Spec, error) {
 			}
 		},
 	}, nil
-}
-
-// SchedSweep runs the scheduler sweep (see schedSweepSpec).
-func SchedSweep(cfg SchedSweepConfig) *Result {
-	sp, err := schedSweepSpec(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return scenario.Execute(sp, cfg.Seed)
 }

@@ -10,9 +10,8 @@ import (
 	"repro/internal/stats"
 )
 
-// Config parameterises one fleet run.
-type Config struct {
-	Seed         int64
+// fleetConfig parameterises one fleet run.
+type fleetConfig struct {
 	Devices      int
 	Servers      int           // server hosts, dialed round-robin (0 = 1)
 	Bytes        int           // upload size per device
@@ -24,40 +23,29 @@ type Config struct {
 	Policy       string        // subflow controller ("" = fullmesh)
 }
 
-// DefaultFleet is the paper-sized corpus: 64 mixed devices uploading
-// 64 KB each through a 400 Mbps aggregation while they roam.
-func DefaultFleet() Config {
-	return Config{
-		Seed:         1,
-		Devices:      64,
-		Bytes:        64 << 10,
-		Duration:     20 * time.Second,
-		Mix:          DefaultMix,
-		HandoverRate: 1,
-		Bottleneck:   400e6,
-		Policy:       "fullmesh",
-	}
-}
-
 func init() {
 	scenario.Register("fleet",
 		"fleet mobility corpus: N heterogeneous devices with per-device WiFi/LTE handover schedules",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultFleet()
-			cfg.Devices = p.Int("devices", cfg.Devices)
-			cfg.Servers = p.Int("servers", cfg.Servers)
-			cfg.Bytes = p.Int("kb", cfg.Bytes>>10) << 10
-			cfg.Duration = p.Duration("duration", cfg.Duration)
-			cfg.Mix = p.Str("profile_mix", cfg.Mix)
-			cfg.HandoverRate = p.Float("handover_rate", cfg.HandoverRate)
-			cfg.Sched = p.Str("sched", cfg.Sched)
-			cfg.Policy = p.Str("policy", cfg.Policy)
+			// The paper-sized corpus: 64 mixed devices uploading 64 KB
+			// each through a 400 Mbps aggregation while they roam. Smoke
+			// shrinks the defaults before the reads, so an explicit -set
+			// still wins.
+			devices, kb, duration := 64, 64, 20*time.Second
 			if p.Bool("smoke", false) {
-				cfg.Devices = 12
-				cfg.Bytes = 32 << 10
-				cfg.Duration = 6 * time.Second
+				devices, kb, duration = 12, 32, 6*time.Second
 			}
-			return fleetSpec(cfg)
+			return fleetSpec(fleetConfig{
+				Devices:      p.Int("devices", devices),
+				Servers:      p.Int("servers", 0),
+				Bytes:        p.Int("kb", kb) << 10,
+				Duration:     p.Duration("duration", duration),
+				Mix:          p.Str("profile_mix", DefaultMix),
+				HandoverRate: p.Float("handover_rate", 1),
+				Bottleneck:   400e6,
+				Sched:        p.Str("sched", ""),
+				Policy:       p.Str("policy", "fullmesh"),
+			})
 		})
 	scenario.RegisterParams("fleet",
 		scenario.ParamDoc{Key: "devices", Type: "int", Default: "64", Desc: "fleet size"},
@@ -87,7 +75,7 @@ func profileList() string {
 // multi-shard and multi-seed fleets stay legal; a traced single-shard
 // run additionally gets the trace layer's handover-gap samples through
 // the generic trace probe.
-func fleetSpec(cfg Config) (*scenario.Spec, error) {
+func fleetSpec(cfg fleetConfig) (*scenario.Spec, error) {
 	if cfg.Devices < 1 {
 		return nil, fmt.Errorf("fleet: devices=%d: need at least one", cfg.Devices)
 	}
@@ -188,7 +176,7 @@ func reduce(devs []*Device, wl *Load) fleetOutcome {
 
 // renderFleet writes the fleet sections and scalars. The samples land
 // under stable names so multi-seed runs pool them across seeds.
-func renderFleet(res *stats.Result, devs []*Device, wl *Load, cfg Config, sections bool) {
+func renderFleet(res *stats.Result, devs []*Device, wl *Load, cfg fleetConfig, sections bool) {
 	o := reduce(devs, wl)
 	res.Scalars["completed"] = float64(o.completed)
 	res.Scalars["handovers_scheduled"] = float64(o.handovers)
@@ -226,14 +214,4 @@ func renderFleet(res *stats.Result, devs []*Device, wl *Load, cfg Config, sectio
 		o.stall.Median(), o.stall.Quantile(0.99), o.stall.Max())
 	res.Printf("goodput       p10 %6.2f   p50 %6.2f   p90 %6.2f Mb/s\n",
 		o.goodput.Quantile(0.10), o.goodput.Median(), o.goodput.Quantile(0.90))
-}
-
-// Fleet runs one fleet corpus (see fleetSpec) — the typed front door for
-// tests and benchmarks.
-func Fleet(cfg Config) *stats.Result {
-	sp, err := fleetSpec(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return scenario.Execute(sp, cfg.Seed)
 }

@@ -11,11 +11,10 @@ import (
 	"repro/internal/stats"
 )
 
-// SweepConfig parameterises the policy-survival sweep: one identical
+// sweepConfig parameterises the policy-survival sweep: one identical
 // fleet corpus per (controller, scheduler) cell, so the table isolates
 // what the policy layer does under fleet-scale mobility.
-type SweepConfig struct {
-	Seed         int64
+type sweepConfig struct {
 	Devices      int
 	Bytes        int
 	Duration     time.Duration
@@ -26,44 +25,35 @@ type SweepConfig struct {
 	Schedulers   []string // swept schedulers; empty = every registered scheduler
 }
 
-// DefaultSweep is the sweep-sized corpus: smaller than the fleet default
-// because it runs controllers × schedulers times.
-func DefaultSweep() SweepConfig {
-	return SweepConfig{
-		Seed:         1,
-		Devices:      16,
-		Bytes:        48 << 10,
-		Duration:     10 * time.Second,
-		Mix:          DefaultMix,
-		HandoverRate: 1,
-		Bottleneck:   400e6,
-	}
-}
-
 func init() {
 	scenario.Register("fleetsweep",
 		"policy survival at fleet scale: the same mobility corpus per subflow controller x packet scheduler",
 		func(p *scenario.Params) (*scenario.Spec, error) {
-			cfg := DefaultSweep()
-			cfg.Devices = p.Int("devices", cfg.Devices)
-			cfg.Bytes = p.Int("kb", cfg.Bytes>>10) << 10
-			cfg.Duration = p.Duration("duration", cfg.Duration)
-			cfg.Mix = p.Str("profile_mix", cfg.Mix)
-			cfg.HandoverRate = p.Float("handover_rate", cfg.HandoverRate)
-			if c := p.Str("policy", ""); c != "" {
-				cfg.Controllers = []string{c}
-			}
-			cfg.Controllers = p.Strings("controllers", cfg.Controllers)
-			if s := p.Str("sched", ""); s != "" {
-				cfg.Schedulers = []string{s}
-			}
-			cfg.Schedulers = p.Strings("schedulers", cfg.Schedulers)
+			// The sweep-sized corpus: smaller than the fleet default
+			// because it runs controllers × schedulers times. Smoke
+			// shrinks the defaults before the reads, so an explicit -set
+			// still wins.
+			devices, kb, duration := 16, 48, 10*time.Second
 			if p.Bool("smoke", false) {
-				cfg.Devices = 6
-				cfg.Bytes = 16 << 10
-				cfg.Duration = 4 * time.Second
+				devices, kb, duration = 6, 16, 4*time.Second
 			}
-			return sweepSpec(cfg)
+			var ctls, scheds []string
+			if c := p.Str("policy", ""); c != "" {
+				ctls = []string{c}
+			}
+			if s := p.Str("sched", ""); s != "" {
+				scheds = []string{s}
+			}
+			return sweepSpec(sweepConfig{
+				Devices:      p.Int("devices", devices),
+				Bytes:        p.Int("kb", kb) << 10,
+				Duration:     p.Duration("duration", duration),
+				Mix:          p.Str("profile_mix", DefaultMix),
+				HandoverRate: p.Float("handover_rate", 1),
+				Bottleneck:   400e6,
+				Controllers:  p.Strings("controllers", ctls),
+				Schedulers:   p.Strings("schedulers", scheds),
+			})
 		})
 	scenario.RegisterParams("fleetsweep",
 		scenario.ParamDoc{Key: "devices", Type: "int", Default: "16", Desc: "fleet size per cell"},
@@ -80,7 +70,7 @@ func init() {
 // (device profiles, link draws, handover timelines) re-run per
 // (controller, scheduler) cell on a fresh topology and workload, so the
 // only difference between cells is the policy under test.
-func sweepSpec(cfg SweepConfig) (*scenario.Spec, error) {
+func sweepSpec(cfg sweepConfig) (*scenario.Spec, error) {
 	ctls := cfg.Controllers
 	if len(ctls) == 0 {
 		ctls = smapp.ControllerNames()
@@ -193,13 +183,4 @@ func sweepSpec(cfg SweepConfig) (*scenario.Spec, error) {
 			}
 		},
 	}, nil
-}
-
-// Sweep runs the policy-survival matrix (see sweepSpec).
-func Sweep(cfg SweepConfig) *stats.Result {
-	sp, err := sweepSpec(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return scenario.Execute(sp, cfg.Seed)
 }

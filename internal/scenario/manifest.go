@@ -266,7 +266,7 @@ func (m *Manifest) SweepConfig(parallel int) SweepConfig {
 	cfg := SweepConfig{
 		Scenario: m.Scenario,
 		Base:     m.BuildParams(),
-		Seeds:    m.Seeds,
+		Seeds:    m.EffectiveSeeds(),
 		BaseSeed: m.BaseSeed(),
 		Parallel: parallel,
 	}
